@@ -27,7 +27,6 @@ from .errors import (
     InsufficientData,
     MissingRoot,
     NearUnitRoot,
-    NoSisterPairs,
     NotPositive,
     OrphanCell,
     ParseError,
@@ -49,15 +48,9 @@ from .gw import (
 )
 from .lineage_io import emit_lineage, ingest
 from .mc import McCell, McConfig, McTable, emit_table, parse_table, run_replica, run_table, table_config
-from .numerics import chi2_sf, erfc, gaussian_pair, invert, replica_stream
+from .numerics import chi2_sf, gaussian_pair, invert, replica_stream
 from .report import TestReport
-from .tree import (
-    ObservationTree,
-    ObservedCounts,
-    index_kinematics,
-    observed_counts,
-    validate,
-)
+from .tree import ObservationTree, ObservedCounts, observed_counts
 
 __version__ = "0.1.0"
 
@@ -71,14 +64,13 @@ __all__ = [
     "simulate_observation_tree",
     "BarLineageError", "DegenerateTypeProportion", "DegenerateVariance",
     "DepthError", "DuplicateIndex", "IndexOutOfRange", "InsufficientData",
-    "MissingRoot", "NearUnitRoot", "NoSisterPairs", "NotPositive",
+    "MissingRoot", "NearUnitRoot", "NotPositive",
     "OrphanCell", "ParseError", "Singular", "SingularDesign", "StatError",
     "TooManyDiscards", "TreeError",
     "emit_lineage", "ingest",
     "McCell", "McConfig", "McTable", "emit_table", "parse_table", "run_replica",
     "run_table", "table_config",
-    "chi2_sf", "erfc", "gaussian_pair", "invert", "replica_stream",
+    "chi2_sf", "gaussian_pair", "invert", "replica_stream",
     "TestReport",
-    "ObservationTree", "ObservedCounts", "index_kinematics",
-    "observed_counts", "validate",
+    "ObservationTree", "ObservedCounts", "observed_counts",
 ]

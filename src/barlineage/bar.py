@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateVariance,
-    NearUnitRoot,
-    NoSisterPairs,
-    Singular,
-    SingularDesign,
-)
+from .errors import DegenerateVariance, NearUnitRoot, Singular, SingularDesign
 from .numerics import chi2_sf, gaussian_pair, invert
 from .report import TestReport
 from .tree import ObservationTree
@@ -147,14 +141,19 @@ def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStat
     return SufficientStats(moment(d0), moment(d1), moment(d0 * d1), rhs, counts)
 
 
+def _invert_design(stats: SufficientStats, i: int) -> np.ndarray:
+    """Inverse of the design block of type-i daughters."""
+    try:
+        return invert(stats.s1 if i else stats.s0)
+    except Singular as exc:
+        raise SingularDesign(i, exc.cond) from exc
+
+
 def ls_estimate(stats: SufficientStats) -> np.ndarray:
     """Least-squares (a, b, c, d): one 2x2 solve per daughter type."""
     theta = np.empty(4)
-    for i, s in enumerate((stats.s0, stats.s1)):
-        try:
-            theta[2 * i : 2 * i + 2] = invert(s) @ stats.rhs[2 * i : 2 * i + 2]
-        except Singular as exc:
-            raise SingularDesign(i, exc.cond) from exc
+    for i in (0, 1):
+        theta[2 * i : 2 * i + 2] = _invert_design(stats, i) @ stats.rhs[2 * i : 2 * i + 2]
     return theta
 
 
@@ -203,12 +202,9 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: fl
     gamma[2:, 2:] = sigma2_hat * stats.s1
     gamma[:2, 2:] = rho_hat * stats.s01
     gamma[2:, :2] = rho_hat * stats.s01
-    try:
-        sig_inv = np.zeros((4, 4))
-        sig_inv[:2, :2] = invert(stats.s0)
-        sig_inv[2:, 2:] = invert(stats.s1)
-    except Singular as exc:
-        raise SingularDesign(0 if np.linalg.cond(stats.s0) > 1e12 else 1, exc.cond) from exc
+    sig_inv = np.zeros((4, 4))
+    sig_inv[:2, :2] = _invert_design(stats, 0)
+    sig_inv[2:, 2:] = _invert_design(stats, 1)
     c = t * sig_inv @ gamma @ sig_inv
     return 0.5 * (c + c.T)  # symmetrize away roundoff
 

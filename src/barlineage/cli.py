@@ -12,6 +12,7 @@ degeneracy (the data were read but a statistic is undefined on them).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -141,8 +142,7 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _run_one_test(path, which: str):
-    tree, values = ingest(path)
+def _run_one_test(tree, values, which: str):
     name = _TEST_ALIASES[which]
     if name == "gw_mean":
         return gw.gw_mean_test(tree)
@@ -151,8 +151,9 @@ def _run_one_test(path, which: str):
 
 
 def _cmd_test(args) -> int:
+    tree, values = ingest(args.path)
     try:
-        report = _run_one_test(args.path, args.which)
+        report = _run_one_test(tree, values, args.which)
     except StatError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
         return EXIT_DEGENERATE
@@ -172,7 +173,7 @@ def _cmd_batch(args) -> int:
         if tree.depth < args.min_generations:
             continue
         try:
-            report = _run_one_test(path, args.which)
+            report = _run_one_test(tree, values, args.which)
             p = f"{report.p_value:.17g}"
         except StatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
@@ -201,32 +202,13 @@ def _config_from_file(path: str) -> dict:
 
 
 def _build_mc_config(args) -> mc.McConfig:
-    raw = _config_from_file(args.config) if args.config else {}
+    """Preset (or GW-mean default), then the config file, then the flags."""
     if args.table is not None:
-        cfg = mc.table_config(args.table)
-        fields = {
-            "which_test": cfg.which_test,
-            "gw_null": cfg.gw_null,
-            "gw_alt": cfg.gw_alt,
-            "bar_null": cfg.bar_null,
-            "bar_alt": cfg.bar_alt,
-            "generations": cfg.generations,
-            "replicas": cfg.replicas,
-            "thresholds": cfg.thresholds,
-            "master_seed": cfg.master_seed,
-        }
+        base = mc.table_config(args.table)
     else:
-        fields = {
-            "which_test": "gw_mean",
-            "gw_null": gw.GwModel(mc.P0_LAW, mc.P0_LAW),
-            "gw_alt": None,
-            "bar_null": None,
-            "bar_alt": None,
-            "generations": (7, 8, 9, 10, 11),
-            "replicas": 1000,
-            "thresholds": (0.05, 0.01, 0.001),
-            "master_seed": 0,
-        }
+        base = mc.McConfig("gw_mean", gw.GwModel(mc.P0_LAW, mc.P0_LAW))
+    raw = _config_from_file(args.config) if args.config else {}
+    fields = {}
     if "which_test" in raw:
         fields["which_test"] = raw["which_test"]
     for side in ("null", "alt"):
@@ -238,24 +220,14 @@ def _build_mc_config(args) -> mc.McConfig:
         bk = f"bar_{side}"
         if bk in raw:
             fields[bk] = bar.BarModel(*_floats(raw[bk]))
-    if "generations" in raw:
-        fields["generations"] = _ints(raw["generations"])
-    if "replicas" in raw:
-        fields["replicas"] = int(raw["replicas"])
-    if "thresholds" in raw:
-        fields["thresholds"] = _floats(raw["thresholds"])
-    if "master_seed" in raw:
-        fields["master_seed"] = int(raw["master_seed"])
-    # flags override the file, the file overrides the preset
-    if args.replicas is not None:
-        fields["replicas"] = args.replicas
-    if args.seed is not None:
-        fields["master_seed"] = args.seed
-    if args.generations is not None:
-        fields["generations"] = args.generations
-    if args.thresholds is not None:
-        fields["thresholds"] = args.thresholds
-    return mc.McConfig(**fields)
+    for key, parse in (("generations", _ints), ("replicas", int),
+                       ("thresholds", _floats), ("master_seed", int)):
+        if key in raw:
+            fields[key] = parse(raw[key])
+    flags = {"replicas": args.replicas, "master_seed": args.seed,
+             "generations": args.generations, "thresholds": args.thresholds}
+    fields.update({k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(base, **fields)
 
 
 def _cmd_mc(args) -> int:

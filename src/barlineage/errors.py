@@ -79,11 +79,6 @@ class NearUnitRoot(StatError):
         super().__init__(f"1 - {which} = {value:.3g} too close to 0 for the fixed-point test")
 
 
-class NoSisterPairs(StatError):
-    def __init__(self):
-        super().__init__("no mother has both daughters observed; sister covariance undefined")
-
-
 class Singular(BarLineageError):
     def __init__(self, cond):
         self.cond = cond

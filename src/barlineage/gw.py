@@ -72,12 +72,6 @@ class GwModel:
             rows.append([law.p10 + law.p11, law.p01 + law.p11])
         return np.array(rows)
 
-    def assert_supercritical(self):
-        """Check the positivity + dominant-eigenvalue-above-1 assumption."""
-        pi, _ = dominant_eigen(self.descendants_matrix())
-        if pi <= 1.0:
-            raise ValueError(f"dominant eigenvalue {pi:.6g} <= 1: process is not supercritical")
-
 
 def dominant_eigen(p: np.ndarray):
     """Dominant eigenvalue and normalized left eigenvector of a positive 2x2 matrix.

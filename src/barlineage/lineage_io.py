@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bar import ValueTree
-from .errors import DuplicateIndex, IndexOutOfRange, MissingRoot, OrphanCell, ParseError
+from .errors import DepthError, DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
 from .tree import MAX_DEPTH, ObservationTree, generation
 
 HEADER = "index,value"
@@ -31,8 +31,8 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
                 if line.removeprefix("#").strip().startswith("depth="):
                     try:
                         depth_hint = int(line.split("=", 1)[1])
-                    except ValueError:
-                        pass
+                    except ValueError as exc:
+                        raise ParseError(line_no, f"bad depth comment: {exc}") from exc
                 continue
             if not saw_header:
                 if line != HEADER:
@@ -56,21 +56,21 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
             entries[k] = v
         if not saw_header:
             raise ParseError(0, "empty file")
+    # guards the max() below as well as the tree invariant
     if 1 not in entries:
         raise MissingRoot()
-    depth = max(max(generation(k) for k in entries), depth_hint, 1)
+    deepest = max(entries)
+    if generation(deepest) > MAX_DEPTH:
+        raise IndexOutOfRange(deepest)
+    depth = max(generation(deepest), depth_hint, 1)
     if depth > MAX_DEPTH:
-        raise IndexOutOfRange(max(entries))
+        raise DepthError(depth, MAX_DEPTH)
     delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
     x = np.zeros(1 << (depth + 1))
     for k, v in entries.items():
         delta[k] = 1
         x[k] = v
-    # orphan check bottom-up so the reported cell matches the input, not
-    # an artifact of dict ordering
-    for k in sorted(entries):
-        if k >= 2 and delta[k // 2] == 0:
-            raise OrphanCell(k)
+    # ObservationTree reports the smallest orphan label, if any
     return ObservationTree(depth, delta), ValueTree(depth, x)
 
 

@@ -49,11 +49,6 @@ def invert(m) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def erfc(x: float) -> float:
-    """Complementary error function (thin wrapper over the C library)."""
-    return math.erfc(x)
-
-
 def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function for the two df values the tests need.
 
@@ -68,13 +63,13 @@ def chi2_sf(x: float, df: int) -> float:
     raise ValueError(f"unsupported df {df}; only 1 and 2 occur here")
 
 
-def gaussian_pair(sigma2: float, rho: float, rng: np.random.Generator, size=None):
-    """Correlated centered Gaussian pair(s) with covariance [[s2, rho], [rho, s2]].
+def gaussian_pair(sigma2: float, rho: float, rng: np.random.Generator, size: int):
+    """``size`` correlated centered Gaussian pairs with covariance
+    [[s2, rho], [rho, s2]].
 
-    Fixed transform of two standard normals g1, g2:
+    Fixed transform of two standard-normal arrays g1, g2 (g1 drawn first):
         e0 = sigma * g1
         e1 = (rho / sigma) * g1 + sqrt(sigma2 - rho**2 / sigma2) * g2
-    With ``size`` set, returns two arrays of that shape (g1 drawn first).
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
@@ -82,12 +77,7 @@ def gaussian_pair(sigma2: float, rho: float, rng: np.random.Generator, size=None
         raise ValueError(f"|rho| = {abs(rho)} exceeds sigma2 = {sigma2}")
     sigma = math.sqrt(sigma2)
     resid = math.sqrt(max(sigma2 - rho * rho / sigma2, 0.0))
-    if size is None:
-        g1 = rng.standard_normal()
-        g2 = rng.standard_normal()
-    else:
-        g = rng.standard_normal((2,) + (size if isinstance(size, tuple) else (size,)))
-        g1, g2 = g[0], g[1]
+    g1, g2 = rng.standard_normal((2, size))
     e0 = sigma * g1
     e1 = (rho / sigma) * g1 + resid * g2
     return e0, e1

@@ -26,32 +26,6 @@ def generation(k: int) -> int:
     return int(k).bit_length() - 1
 
 
-def cell_type(k: int) -> int:
-    """0 for even labels, 1 for odd labels."""
-    if k < 1:
-        raise IndexOutOfRange(k)
-    return k & 1
-
-
-def mother(k: int):
-    """Label of the mother cell, or None for the root."""
-    if k < 1:
-        raise IndexOutOfRange(k)
-    return None if k == 1 else k // 2
-
-
-def daughters(k: int) -> tuple[int, int]:
-    """Labels of the two daughter cells (type 0, type 1)."""
-    if k < 1:
-        raise IndexOutOfRange(k)
-    return 2 * k, 2 * k + 1
-
-
-def index_kinematics(k: int):
-    """(generation, type, mother or None, daughters) for cell k."""
-    return generation(k), cell_type(k), mother(k), daughters(k)
-
-
 def gen_slice(g: int) -> slice:
     """Slice of a flat 1-based cell array covering generation g."""
     return slice(1 << g, 1 << (g + 1))
@@ -138,41 +112,15 @@ class ObservationTree:
 
 
 def _reflect_array(arr: np.ndarray, depth: int) -> np.ndarray:
-    """Map entry k to the label with all non-leading binary digits flipped.
-
-    This is exactly the recursive sibling swap: mirror(2k) = 2*mirror(k)+1.
+    """Mirror the tree: map entry k to the label with every non-leading
+    binary digit flipped (mirror(2k) = 2*mirror(k)+1), which reverses
+    each generation's slice.
     """
     out = np.empty_like(arr)
     out[0] = arr[0]
     for g in range(depth + 1):
-        lo, hi = 1 << g, 1 << (g + 1)
-        idx = np.arange(lo, hi)
-        out[(lo - 1) ^ idx | lo] = arr[idx]
+        out[gen_slice(g)] = arr[gen_slice(g)][::-1]
     return out
-
-
-def validate(depth: int, observed) -> ObservationTree:
-    """Build a checked ObservationTree, raising the first violation found."""
-    return ObservationTree.from_indices(depth, observed)
-
-
-def violations(depth: int, observed) -> list:
-    """All construction violations for the given index set (empty if valid)."""
-    probs = []
-    size = 1 << (depth + 1)
-    seen = set()
-    for k in observed:
-        k = int(k)
-        if not 1 <= k < size:
-            probs.append(IndexOutOfRange(k))
-        else:
-            seen.add(k)
-    if 1 not in seen:
-        probs.append(MissingRoot())
-    for k in sorted(seen):
-        if k >= 2 and k // 2 not in seen:
-            probs.append(OrphanCell(k))
-    return probs
 
 
 def observed_counts(tree: ObservationTree) -> ObservedCounts:

@@ -35,7 +35,6 @@ from barlineage import (
     simulate_observation_tree,
     sufficient_stats,
     table_config,
-    validate,
 )
 from barlineage.cli import main
 

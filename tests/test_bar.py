@@ -4,6 +4,7 @@ import pytest
 from barlineage import (
     BarModel,
     GwModel,
+    ObservationTree,
     ReproductionLaw,
     ValueTree,
     asymptotic_covariance,
@@ -16,7 +17,6 @@ from barlineage import (
     simulate_bar_values,
     simulate_observation_tree,
     sufficient_stats,
-    validate,
 )
 from barlineage.bar import BarEstimate, SufficientStats
 from barlineage.errors import DegenerateVariance, NearUnitRoot, SingularDesign
@@ -34,7 +34,7 @@ ZERO_NOISE = BarModel(1.0, 0.5, 2.0, 0.25, 0.0, 0.0)
 
 
 def full_tree(depth):
-    return validate(depth, range(1, 1 << (depth + 1)))
+    return ObservationTree.from_indices(depth, range(1, 1 << (depth + 1)))
 
 
 class TestBarModel:
@@ -94,7 +94,7 @@ class TestSufficientStats:
         assert np.allclose(s.rhs, [1.0, 3.0, 2.0, 6.0])
 
     def test_no_odd_daughters(self):
-        tree = validate(2, {1, 2, 4})
+        tree = ObservationTree.from_indices(2, {1, 2, 4})
         v = random_values(2, np.random.default_rng(0))
         s = sufficient_stats(v, tree)
         assert (s.s1 == 0).all()
@@ -121,7 +121,7 @@ class TestSufficientStats:
         assert s.s01[1, 1] <= s.s1[1, 1] + 1e-12
 
     def test_counts(self):
-        tree = validate(2, {1, 2, 3, 6, 7})
+        tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
         v = random_values(2, np.random.default_rng(1))
         s = sufficient_stats(v, tree)
         assert s.counts == (3, 2, 5)
@@ -200,7 +200,7 @@ class TestResidualNoise:
             assert noise.rho_hat == pytest.approx(rho, abs=1e-12)
 
     def test_no_sister_pairs_flag(self):
-        tree = validate(2, {1, 2, 4})
+        tree = ObservationTree.from_indices(2, {1, 2, 4})
         v = random_values(2, np.random.default_rng(2))
         noise = residual_noise_estimates(v, tree, [0.0, 0.1, 0.0, 0.1])
         assert noise.no_sister_pairs

@@ -5,14 +5,16 @@ import pytest
 
 from barlineage import (
     BarModel,
+    DepthError,
     DuplicateIndex,
+    IndexOutOfRange,
     MissingRoot,
+    ObservationTree,
     OrphanCell,
     ParseError,
     ValueTree,
     emit_lineage,
     ingest,
-    validate,
 )
 from barlineage.cli import main
 
@@ -43,6 +45,27 @@ class TestIngest:
         text = "# depth=4\nindex,value\n1,1.0\n"
         tree, _ = ingest(write(tmp_path, text))
         assert tree.depth == 4
+
+    def test_depth_comment_beyond_max_depth(self, tmp_path):
+        text = "# depth=31\nindex,value\n1,1.0\n"
+        with pytest.raises(DepthError) as exc:
+            ingest(write(tmp_path, text))
+        assert exc.value.depth == 31
+        assert "[1, 30]" in str(exc.value)
+
+    def test_label_beyond_max_depth(self, tmp_path):
+        text = f"index,value\n1,1.0\n{1 << 31},0.0\n"
+        with pytest.raises(IndexOutOfRange) as exc:
+            ingest(write(tmp_path, text))
+        assert exc.value.k == 1 << 31
+
+    def test_malformed_depth_comment(self, tmp_path, capsys):
+        path = write(tmp_path, "# seed=3\n# depth=abc\nindex,value\n1,1.0\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line_no == 2
+        assert main(["estimate", str(path)]) == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_orphan_raises_with_label(self, tmp_path):
         text = "index,value\n1,0.0\n6,1.0\n"
@@ -86,7 +109,7 @@ class TestIngest:
 
 class TestEmitLineage:
     def test_round_trip_exact(self, tmp_path):
-        tree = validate(2, {1, 2, 3, 6, 7})
+        tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
         x = np.zeros(8)
         x[[1, 2, 3, 6, 7]] = [0.1, -1.0 / 3.0, 2.0**-40, 1e17, np.pi]
         text = emit_lineage(tree, ValueTree(2, x), {"depth": 2})
@@ -96,7 +119,7 @@ class TestEmitLineage:
                               x[tree.delta.astype(bool)])
 
     def test_params_become_comments(self):
-        tree = validate(1, {1})
+        tree = ObservationTree.from_indices(1, {1})
         text = emit_lineage(tree, ValueTree(1, np.zeros(4)), {"seed": 7, "a": 0.5})
         assert "# seed=7" in text and "# a=0.5" in text
         assert text.endswith("1,0\n")

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 
 from barlineage import (
     GwModel,
+    ObservationTree,
     ReproductionLaw,
     dominant_eigen,
     estimate_reproduction,
     gw_mean_test,
     reproduction_covariance,
     simulate_observation_tree,
-    validate,
     replica_stream,
 )
 from barlineage.errors import (
@@ -112,7 +112,7 @@ class TestSimulateObservationTree:
 
 class TestEstimateReproduction:
     def test_complete_tree_point_mass(self):
-        tree = validate(3, range(1, 16))
+        tree = ObservationTree.from_indices(3, range(1, 16))
         est = estimate_reproduction(tree)
         expected = np.zeros(8)
         expected[3] = expected[7] = 1.0
@@ -121,7 +121,7 @@ class TestEstimateReproduction:
     def test_partial_depth2_hand_enumeration(self):
         # mothers of record are cells 2 and 3; cell 2 lost both daughters,
         # cell 3 kept both
-        tree = validate(2, {1, 2, 3, 6, 7})
+        tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
         est = estimate_reproduction(tree)
         assert est.phat[0] == 1.0   # type 0: (0,0)
         assert est.phat[7] == 1.0   # type 1: (1,1)
@@ -129,7 +129,7 @@ class TestEstimateReproduction:
 
     def test_rejects_too_shallow(self):
         with pytest.raises(InsufficientData):
-            estimate_reproduction(validate(1, {1, 2, 3}))
+            estimate_reproduction(ObservationTree.from_indices(1, {1, 2, 3}))
 
     @given(observation_trees(min_depth=2, max_depth=4))
     def test_matches_brute_force(self, tree):
@@ -228,24 +228,24 @@ class TestGwMeanTest:
     def test_zero_difference_statistic(self):
         # both estimated laws are (0, 1/3, 1/3, 1/3): type-0 records
         # {2, 4, 6} and type-1 records {3, 5, 7} show the same outcomes
-        tree = validate(3, {1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 15})
+        tree = ObservationTree.from_indices(3, {1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 15})
         rep = gw_mean_test(tree)
         assert rep.estimates["m_hat"] == pytest.approx(0.0, abs=1e-14)
         assert rep.statistic == pytest.approx(0.0, abs=1e-12)
         assert rep.p_value == pytest.approx(1.0)
 
     def test_degenerate_variance_on_complete_tree(self):
-        tree = validate(4, range(1, 32))
+        tree = ObservationTree.from_indices(4, range(1, 32))
         with pytest.raises(DegenerateVariance):
             gw_mean_test(tree)
 
     def test_rejects_shallow_tree(self):
         with pytest.raises(InsufficientData):
-            gw_mean_test(validate(2, range(1, 8)))
+            gw_mean_test(ObservationTree.from_indices(2, range(1, 8)))
 
     def test_insufficient_data_when_type_missing(self):
         # no even cell is ever observed: type-0 mother count is 0
-        tree = validate(3, {1, 3, 7, 15})
+        tree = ObservationTree.from_indices(3, {1, 3, 7, 15})
         with pytest.raises(InsufficientData):
             gw_mean_test(tree)
 
