@@ -3,6 +3,8 @@ with missing cells: simulation, estimation, Wald tests, and Monte Carlo
 size/power tables.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bar import (
     BarEstimate,
     BarModel,
@@ -50,27 +52,12 @@ from .lineage_io import emit_lineage, ingest
 from .mc import McCell, McConfig, McTable, emit_table, parse_table, run_replica, run_table, table_config
 from .numerics import chi2_sf, gaussian_pair, invert, replica_stream
 from .report import TestReport
-from .tree import ObservationTree, ObservedCounts, observed_counts
+from .tree import ObservationTree, ObservedCounts
 
 __version__ = "0.1.0"
 
+# the names imported above are the public API; the submodules are not
 __all__ = [
-    "BarEstimate", "BarModel", "SufficientStats", "ValueTree",
-    "asymptotic_covariance", "coefficient_test", "estimate_bar",
-    "fixed_point_test", "ls_estimate", "residual_noise_estimates",
-    "simulate_bar_values", "sufficient_stats",
-    "GwModel", "ReproductionEstimate", "ReproductionLaw", "dominant_eigen",
-    "estimate_reproduction", "gw_mean_test", "reproduction_covariance",
-    "simulate_observation_tree",
-    "BarLineageError", "DegenerateTypeProportion", "DegenerateVariance",
-    "DepthError", "DuplicateIndex", "IndexOutOfRange", "InsufficientData",
-    "MissingRoot", "NearUnitRoot", "NotPositive",
-    "OrphanCell", "ParseError", "Singular", "SingularDesign", "StatError",
-    "TooManyDiscards", "TreeError",
-    "emit_lineage", "ingest",
-    "McCell", "McConfig", "McTable", "emit_table", "parse_table", "run_replica",
-    "run_table", "table_config",
-    "chi2_sf", "gaussian_pair", "invert", "replica_stream",
-    "TestReport",
-    "ObservationTree", "ObservedCounts", "observed_counts",
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

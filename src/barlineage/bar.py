@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateVariance, NearUnitRoot, Singular, SingularDesign
 from .numerics import chi2_sf, gaussian_pair, invert
 from .report import TestReport
-from .tree import ObservationTree
+from .tree import ObservationTree, _reflect_array
 
 VARIANCE_FLOOR = 1e-14
 UNIT_ROOT_GUARD = 1e-8
@@ -79,8 +79,6 @@ class ValueTree:
         object.__setattr__(self, "x", x)
 
     def reflect(self) -> "ValueTree":
-        from .tree import _reflect_array
-
         return ValueTree(self.depth, _reflect_array(self.x, self.depth))
 
 
@@ -118,27 +116,29 @@ class SufficientStats:
     counts: tuple[int, int, int]
 
 
+def _daughters(values: ValueTree, tree: ObservationTree):
+    """(mother traits, daughter traits) of the observed type-0 and of the
+    observed type-1 daughters."""
+    kids = tree.observed_indices()[1:]  # every observed cell but the root
+    odd = (kids & 1).astype(bool)
+    return [(values.x[k >> 1], values.x[k]) for k in (kids[~odd], kids[odd])]
+
+
+def _moment(xm: np.ndarray) -> np.ndarray:
+    sx, sxx = xm.sum(), (xm * xm).sum()
+    return np.array([[xm.size, sx], [sx, sxx]], dtype=float)
+
+
 def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStats:
     if values.depth != tree.depth:
         raise ValueError("value tree and observation tree must share the same depth")
     n = tree.depth
-    k = np.arange(1, 1 << n)  # mothers: sub-tree up to generation n-1
-    xk = values.x[k]
-    d0 = tree.delta[2 * k].astype(float)
-    d1 = tree.delta[2 * k + 1].astype(float)
-    x0 = values.x[2 * k]
-    x1 = values.x[2 * k + 1]
-
-    def moment(w):
-        sw, swx, swx2 = w.sum(), (w * xk).sum(), (w * xk * xk).sum()
-        return np.array([[sw, swx], [swx, swx2]])
-
-    rhs = np.array(
-        [(d0 * x0).sum(), (d0 * xk * x0).sum(), (d1 * x1).sum(), (d1 * xk * x1).sum()]
-    )
+    (xm0, x0), (xm1, x1) = _daughters(values, tree)
+    rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
+    both = values.x[tree.pair_mothers()]
     c = tree.counts()
     counts = (int(c.t_star[n - 1]), int(c.t01[n - 1]), int(c.t_star[n]))
-    return SufficientStats(moment(d0), moment(d1), moment(d0 * d1), rhs, counts)
+    return SufficientStats(_moment(xm0), _moment(xm1), _moment(both), rhs, counts)
 
 
 def _invert_design(stats: SufficientStats, i: int) -> np.ndarray:
@@ -174,16 +174,16 @@ def residual_noise_estimates(
     """
     a, b, c, d = np.asarray(theta, dtype=float)
     n = tree.depth
-    k = np.arange(1, 1 << n)
-    xk = values.x[k]
-    e0 = tree.delta[2 * k] * (values.x[2 * k] - a - b * xk)
-    e1 = tree.delta[2 * k + 1] * (values.x[2 * k + 1] - c - d * xk)
+    (xm0, x0), (xm1, x1) = _daughters(values, tree)
+    e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
     cnt = tree.counts()
-    sigma2_hat = float((e0 * e0 + e1 * e1).sum()) / int(cnt.t_star[n])
+    sigma2_hat = float((e0 * e0).sum() + (e1 * e1).sum()) / int(cnt.t_star[n])
     t01 = int(cnt.t01[n - 1])
     if t01 == 0:
         return NoiseEstimate(sigma2_hat, 0.0, no_sister_pairs=True)
-    rho_hat = float((e0 * e1).sum()) / t01
+    m, x = tree.pair_mothers(), values.x
+    cross = (x[2 * m] - a - b * x[m]) * (x[2 * m + 1] - c - d * x[m])
+    rho_hat = float(cross.sum()) / t01
     return NoiseEstimate(sigma2_hat, rho_hat)
 
 
@@ -194,9 +194,6 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: fl
     and Gamma_hat = |T*|^-1 [[s2 S0, rho S01], [rho S01, s2 S1]].
     """
     t = stats.counts[0]
-    sigma = np.zeros((4, 4))
-    sigma[:2, :2] = stats.s0
-    sigma[2:, 2:] = stats.s1
     gamma = np.zeros((4, 4))
     gamma[:2, :2] = sigma2_hat * stats.s0
     gamma[2:, 2:] = sigma2_hat * stats.s1
@@ -251,7 +248,8 @@ def coefficient_test(est: BarEstimate) -> TestReport:
     if eigs[0] <= 0 or eigs[1] / eigs[0] > 1e12:
         raise DegenerateVariance(f"coefficient-difference covariance eigenvalues {eigs}")
     diff = np.array([est.theta[0] - est.theta[2], est.theta[1] - est.theta[3]])
-    statistic = float(t * diff @ invert(delta_c) @ diff)
+    # the eigenvalue bound above is the conditioning check
+    statistic = float(t * diff @ np.linalg.inv(delta_c) @ diff)
     return TestReport(
         test="coefficient",
         statistic=statistic,

@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     tree, values = ingest(args.path)
-    out = {"depth": tree.depth, "n_observed": int(tree.delta.sum())}
+    out = {"depth": tree.depth, "n_observed": tree.observed_indices().size}
     rep = gw.estimate_reproduction(tree)
     out["gw"] = {
         "phat": rep.phat.tolist(),

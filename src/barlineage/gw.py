@@ -142,39 +142,25 @@ class ReproductionEstimate:
 def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
     """Empirical reproduction probabilities using all data in the tree.
 
-    Mothers-of-record of type i are the cells 2k+i for k in the sub-tree
-    two generations above the leaves; their daughter pair lands in the
-    deepest generation at most.
+    Mothers-of-record are the observed cells of generations 1 .. n-1;
+    their daughter pair lands in the deepest generation at most.  The
+    outcome code delta[2m] + 2 * delta[2m+1] of mother m indexes the
+    order (0,0), (1,0), (0,1), (1,1) within her type's block.
     """
     n, delta = tree.depth, tree.delta
     if n < 2:
         raise InsufficientData("estimating reproduction laws needs depth >= 2")
-    k = np.arange(1, 1 << (n - 1))  # sub-tree up to generation n-2
-    phat = np.zeros(8)
-    counts = []
-    for i in (0, 1):
-        m = 2 * k + i
-        present = delta[m].astype(np.int64)
-        n_i = int(present.sum())
-        counts.append(n_i)
-        if n_i > 0:
-            d0 = delta[2 * m].astype(np.int64)
-            d1 = delta[2 * m + 1].astype(np.int64)
-            block = np.array(
-                [
-                    (present * (1 - d0) * (1 - d1)).sum(),
-                    (present * d0 * (1 - d1)).sum(),
-                    (present * (1 - d0) * d1).sum(),
-                    (present * d0 * d1).sum(),
-                ],
-                dtype=float,
-            )
-            phat[4 * i : 4 * i + 4] = block / n_i
+    labels = tree.observed_indices()
+    m = labels[1 : np.searchsorted(labels, 1 << n)]  # skip the root
+    code = 4 * (m & 1) + delta[2 * m] + 2 * delta[2 * m + 1]
+    block = np.bincount(code, minlength=8).reshape(2, 4)
+    counts = block.sum(axis=1)
+    phat = (block / np.maximum(counts, 1)[:, None]).ravel()
     c = tree.counts()
     t_star = int(c.t_star[n - 1])
     zsum = c.z[1:n].sum(axis=0)  # generations 1 .. n-1
     zhat = (zsum[0] / t_star, zsum[1] / t_star)
-    return ReproductionEstimate(phat, (counts[0], counts[1]), zhat, t_star)
+    return ReproductionEstimate(phat, (int(counts[0]), int(counts[1])), zhat, t_star)
 
 
 def reproduction_covariance(est: ReproductionEstimate) -> np.ndarray:

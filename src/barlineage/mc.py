@@ -158,10 +158,22 @@ def _cell_worker(args):
     return [run_replica(config, hypothesis, generation, r) for r in range(lo, hi)]
 
 
+def bounded_workers(requested: int, replicas: int, cpus: int) -> int:
+    """Workers to start: ``requested``, at most one per usable CPU and per
+    replica, and at least 1 (which runs serially)."""
+    return max(1, min(requested, cpus, replicas))
+
+
 def run_table(config: McConfig, workers: int | None = None) -> McTable:
-    """Run the whole grid.  ``workers`` > 1 fans replicas out per cell."""
+    """Run the whole grid.  ``workers`` > 1 fans replicas out per cell,
+    bounded by the CPUs this process may use and by ``replicas``."""
     if workers is None:
         workers = int(os.environ.get("BARLINEAGE_WORKERS", "1"))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = bounded_workers(workers, config.replicas, cpus)
     cells, archives = {}, {}
     for generation in config.generations:
         for hypothesis in config.hypotheses:

@@ -5,6 +5,10 @@ Cells are labelled 1, 2, 3, ... with the two daughters of cell k at 2k
 k // 2.  Generation g is the contiguous label slice [2**g, 2**(g+1)),
 so everything here is plain index arithmetic on flat numpy arrays with
 entry 0 unused.
+
+An ObservationTree finds its observed labels, its observed sister pairs
+and its ObservedCounts once, at construction; the estimators sum over
+those observed cells only.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ def gen_slice(g: int) -> slice:
 class ObservedCounts:
     """Per-generation and cumulative observed-cell counts.
 
-    All arrays are indexed by generation 0..depth.  ``z`` rows are the
+    An ObservationTree builds these once, at construction, from its
+    observed labels; ``tree.counts()`` returns that one object.  All
+    arrays are indexed by generation 0..depth.  ``z`` rows are the
     observed daughters of each type born into that generation (row 0 is
     the root by convention: (0, 1)).  ``t01`` counts mothers in the
     sub-tree up to that generation with BOTH daughters observed, so its
@@ -58,27 +64,53 @@ class ObservedCounts:
 class ObservationTree:
     """Presence bits delta[k] over a fixed-depth binary tree.
 
-    Invariants (checked at construction): delta[1] == 1 and no observed
-    cell has an unobserved mother.
+    Invariants (checked at construction): every entry is 0 or 1,
+    delta[1] == 1, and no observed cell has an unobserved mother.
+    Construction also finds the sorted observed labels, the mothers of
+    observed sister pairs and the ObservedCounts, once; the methods
+    below return them, read-only.
     """
 
     depth: int
     delta: np.ndarray = field(repr=False)
+    _labels: np.ndarray = field(init=False, repr=False)
+    _pair_mothers: np.ndarray = field(init=False, repr=False)
+    _counts: ObservedCounts = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (1 <= self.depth <= MAX_DEPTH):
-            raise DepthError(self.depth, MAX_DEPTH)
+        n = self.depth
+        if not (1 <= n <= MAX_DEPTH):
+            raise DepthError(n, MAX_DEPTH)
         delta = np.ascontiguousarray(self.delta, dtype=np.uint8)
-        if delta.shape != (1 << (self.depth + 1),):
-            raise ValueError(f"delta must have length 2^(depth+1) = {1 << (self.depth + 1)}")
+        if delta.shape != (1 << (n + 1),):
+            raise ValueError(f"delta must have length 2^(depth+1) = {1 << (n + 1)}")
+        if delta.max() > 1:
+            raise ValueError("delta entries must be 0 or 1")
         object.__setattr__(self, "delta", delta)
         if delta[1] != 1:
             raise MissingRoot()
-        # vectorized orphan check: an observed cell whose mother is missing
-        kids = np.flatnonzero(delta[2:]) + 2
-        bad = kids[delta[kids // 2] == 0]
+        labels = np.flatnonzero(delta[1:]) + 1
+        # an observed cell whose mother is missing
+        kids = labels[1:]
+        bad = kids[delta[kids >> 1] == 0]
         if bad.size:
             raise OrphanCell(int(bad[0]))
+        gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
+        # in sorted order an even daughter is directly followed by her
+        # sister when both are observed
+        first = labels[:-1]
+        pair = ((first & 1) == 0) & (labels[1:] == first + 1)
+        z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
+        t01 = np.cumsum(np.bincount(gen[:-1][pair] - 1, minlength=n + 1))
+        g_star = z.sum(axis=1)
+        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)
+        pair_mothers = first[pair] >> 1
+        # every caller shares these arrays
+        for arr in (labels, pair_mothers, z, g_star, counts.t_star, t01):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_pair_mothers", pair_mothers)
+        object.__setattr__(self, "_counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, ObservationTree):
@@ -101,10 +133,15 @@ class ObservationTree:
         return cls(depth, delta)
 
     def observed_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.delta)
+        """Labels of the observed cells, ascending (the root first)."""
+        return self._labels
+
+    def pair_mothers(self) -> np.ndarray:
+        """Labels of the mothers whose two daughters are both observed, ascending."""
+        return self._pair_mothers
 
     def counts(self) -> ObservedCounts:
-        return observed_counts(self)
+        return self._counts
 
     def reflect(self) -> "ObservationTree":
         """Swap every sibling pair recursively (mirror the tree)."""
@@ -121,24 +158,3 @@ def _reflect_array(arr: np.ndarray, depth: int) -> np.ndarray:
     for g in range(depth + 1):
         out[gen_slice(g)] = arr[gen_slice(g)][::-1]
     return out
-
-
-def observed_counts(tree: ObservationTree) -> ObservedCounts:
-    """Z_n per type, per-generation and cumulative observed totals."""
-    n, delta = tree.depth, tree.delta
-    z = np.zeros((n + 1, 2), dtype=np.int64)
-    z[0, 1] = 1  # the root has label 1, an odd cell
-    t01 = np.zeros(n + 1, dtype=np.int64)
-    both = 0
-    for g in range(n):
-        mothers = np.arange(1 << g, 1 << (g + 1))
-        d0, d1 = delta[2 * mothers], delta[2 * mothers + 1]
-        z[g + 1, 0] = int(d0.sum())
-        z[g + 1, 1] = int(d1.sum())
-        both += int((d0 & d1).sum())
-        t01[g] = both
-    # daughters of generation `depth` fall outside the array, hence
-    # count as unobserved: the cumulative count stays flat
-    t01[n] = both
-    g_star = z.sum(axis=1)
-    return ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)

@@ -26,6 +26,8 @@ def write(tmp_path, text, name="data.csv"):
 
 
 GOOD = "index,value\n1,0.5\n2,1.0\n3,-0.25\n6,2.0\n7,0.75\n"
+# finite traits whose squares overflow the moment sums
+HUGE = "index,value\n" + "".join(f"{k},{1e200 * (1 + k / 100)!r}\n" for k in range(1, 16))
 
 
 class TestIngest:
@@ -216,6 +218,12 @@ class TestTestCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "DegenerateVariance"
 
+    def test_overflowing_moments_are_singular(self, tmp_path, capsys):
+        path = write(tmp_path, HUGE)
+        assert main(["test", str(path), "--which", "fixed"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "SingularDesign"
+
     def test_unknown_test_is_usage_error(self, tmp_path):
         path = simulate_fixture(tmp_path)
         assert main(["test", str(path), "--which", "anova"]) == 1
@@ -249,6 +257,13 @@ class TestBatch:
                      "--min-generations", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].endswith(",nan")
+
+    def test_overflowing_moments_print_nan(self, tmp_path, capsys):
+        write(tmp_path, HUGE, name="huge.csv")
+        assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["huge.csv,fixed_point,nan"]
+        assert "singular" in captured.err
 
     def test_out_file(self, tmp_path):
         simulate_fixture(tmp_path, "a.csv")

@@ -15,7 +15,7 @@ from barlineage import (
     run_table,
     table_config,
 )
-from barlineage.mc import DEGENERATE, EXTINCT, P0_LAW, P1_LAW
+from barlineage.mc import DEGENERATE, EXTINCT, P0_LAW, P1_LAW, bounded_workers
 
 SMALL = table_config(1, replicas=40, generations=(7, 8), master_seed=5)
 
@@ -109,6 +109,17 @@ class TestRunTable:
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv("BARLINEAGE_WORKERS", "2")
         assert run_table(SMALL) == run_table(SMALL, workers=1)
+
+    @pytest.mark.parametrize("requested,replicas,cpus,expected", [
+        (4, 1000, 2, 2),        # no more workers than usable CPUs
+        (8, 3, 16, 3),          # no worker without a replica
+        (10**9, 1000, 2, 2),    # an absurd request is cut to the machine
+        (2, 1000, 8, 2),        # a request within bounds stands
+        (0, 1000, 8, 1),        # 0 and negatives run serially
+        (-3, 1000, 8, 1),
+    ])
+    def test_bounded_workers(self, requested, replicas, cpus, expected):
+        assert bounded_workers(requested, replicas, cpus) == expected
 
     def test_identical_hypotheses_statistically_indistinguishable(self):
         # the alternative set equal to the null: H0 and H1 columns use

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from barlineage import ObservationTree, observed_counts
+from barlineage import ObservationTree
 from barlineage.errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
 from barlineage.tree import _reflect_array, gen_slice, generation
 
@@ -52,6 +52,12 @@ class TestValidate:
         with pytest.raises(IndexOutOfRange):
             ObservationTree.from_indices(1, {1, 2, 3, 9})
 
+    def test_presence_is_a_bit(self):
+        delta = np.zeros(8, dtype=np.uint8)
+        delta[1:4] = [1, 2, 1]
+        with pytest.raises(ValueError):
+            ObservationTree(2, delta)
+
     def test_depth_cap(self):
         with pytest.raises(DepthError):
             ObservationTree(31, np.zeros(4, dtype=np.uint8))
@@ -60,7 +66,7 @@ class TestValidate:
 class TestObservedCounts:
     def test_complete_depth2(self):
         tree = ObservationTree.from_indices(2, range(1, 8))
-        c = observed_counts(tree)
+        c = tree.counts()
         assert c.z[1].tolist() == [1, 1]
         assert c.z[2].tolist() == [2, 2]
         assert c.t_star[2] == 7
@@ -68,7 +74,7 @@ class TestObservedCounts:
 
     def test_root_only(self):
         tree = ObservationTree.from_indices(3, {1})
-        c = observed_counts(tree)
+        c = tree.counts()
         assert (c.z[1:] == 0).all()
         assert (c.t_star == 1).all()
         assert c.extinct
@@ -76,22 +82,30 @@ class TestObservedCounts:
     def test_partial_depth2(self):
         # cells 1 and 3 have both daughters observed, cell 2 has none
         tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
-        c = observed_counts(tree)
+        c = tree.counts()
         assert c.z[1].tolist() == [1, 1]
         assert c.z[2].tolist() == [1, 1]
         assert c.t01[2] == 2
 
     @given(observation_trees())
     def test_matches_brute_force(self, tree):
-        c = observed_counts(tree)
+        c = tree.counts()
         z, t01 = brute_counts(tree)
         assert c.z.tolist() == z
         assert c.t01.tolist() == t01
         assert c.t_star.tolist() == np.cumsum([sum(r) for r in z]).tolist()
 
     @given(observation_trees())
+    def test_labels_and_pair_mothers(self, tree):
+        n, delta = tree.depth, tree.delta
+        labels = [k for k in range(1, 2 ** (n + 1)) if delta[k]]
+        pairs = [k for k in range(1, 2 ** n) if delta[2 * k] and delta[2 * k + 1]]
+        assert tree.observed_indices().tolist() == labels
+        assert tree.pair_mothers().tolist() == pairs
+
+    @given(observation_trees())
     def test_extinction_is_monotone(self, tree):
-        g = observed_counts(tree).g_star
+        g = tree.counts().g_star
         dead = np.flatnonzero(g == 0)
         if dead.size:
             assert (g[dead[0]:] == 0).all()
@@ -110,7 +124,7 @@ class TestReflection:
         assert ref.delta[2] == tree.delta[3]
         assert ref.delta[3] == tree.delta[2]
         # per-generation observed totals are preserved
-        assert (observed_counts(ref).g_star == observed_counts(tree).g_star).all()
+        assert (ref.counts().g_star == tree.counts().g_star).all()
 
     @pytest.mark.parametrize("depth", range(1, 8))
     def test_flips_non_leading_bits(self, depth):
