@@ -6,9 +6,7 @@ size/power tables.
 from types import ModuleType as _ModuleType
 
 from .bar import (
-    BarEstimate,
     BarModel,
-    SufficientStats,
     ValueTree,
     asymptotic_covariance,
     coefficient_test,
@@ -19,28 +17,9 @@ from .bar import (
     simulate_bar_values,
     sufficient_stats,
 )
-from .errors import (
-    BarLineageError,
-    DegenerateTypeProportion,
-    DegenerateVariance,
-    DepthError,
-    DuplicateIndex,
-    IndexOutOfRange,
-    InsufficientData,
-    MissingRoot,
-    NearUnitRoot,
-    NotPositive,
-    OrphanCell,
-    ParseError,
-    Singular,
-    SingularDesign,
-    StatError,
-    TooManyDiscards,
-    TreeError,
-)
+from .errors import BarLineageError, ParseError, StatError, TooManyDiscards, TreeError
 from .gw import (
     GwModel,
-    ReproductionEstimate,
     ReproductionLaw,
     dominant_eigen,
     estimate_reproduction,
@@ -49,14 +28,15 @@ from .gw import (
     simulate_observation_tree,
 )
 from .lineage_io import emit_lineage, ingest
-from .mc import McCell, McConfig, McTable, emit_table, parse_table, run_replica, run_table, table_config
-from .numerics import chi2_sf, gaussian_pair, invert, replica_stream
-from .report import TestReport
-from .tree import ObservationTree, ObservedCounts
+from .mc import McConfig, emit_table, parse_table, run_replica, run_table, table_config
+from .numerics import chi2_sf, replica_stream
+from .tree import ObservationTree
 
 __version__ = "0.1.0"
 
-# the names imported above are the public API; the submodules are not
+# the names imported above are the public API, each documented in the
+# README; return types, internals and the leaf errors stay in their
+# submodules (e.g. barlineage.errors.OrphanCell)
 __all__ = [
     name for name, value in list(globals().items())
     if not name.startswith("_") and not isinstance(value, _ModuleType)

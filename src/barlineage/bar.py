@@ -14,17 +14,15 @@ c/(1-d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateVariance, NearUnitRoot, Singular, SingularDesign
-from .numerics import chi2_sf, gaussian_pair, invert
+from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, invert
 from .report import TestReport
 from .tree import ObservationTree, _reflect_array
 
-VARIANCE_FLOOR = 1e-14
 UNIT_ROOT_GUARD = 1e-8
 
 # gradient of (a - c, b - d) w.r.t. (a, b, c, d), one column per component
@@ -245,7 +243,7 @@ def coefficient_test(est: BarEstimate) -> TestReport:
     t = est.counts[0]
     delta_c = COEFF_GRADIENT.T @ est.cov @ COEFF_GRADIENT
     eigs = np.linalg.eigvalsh(0.5 * (delta_c + delta_c.T))
-    if eigs[0] <= 0 or eigs[1] / eigs[0] > 1e12:
+    if eigs[0] <= VARIANCE_FLOOR or eigs[1] > MAX_COND * eigs[0]:
         raise DegenerateVariance(f"coefficient-difference covariance eigenvalues {eigs}")
     diff = np.array([est.theta[0] - est.theta[2], est.theta[1] - est.theta[3]])
     # the eigenvalue bound above is the conditioning check

@@ -120,45 +120,64 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate(args) -> int:
-    tree, values = ingest(args.path)
-    out = {"depth": tree.depth, "n_observed": tree.observed_indices().size}
+def _error_json(exc: StatError) -> dict:
+    return {"error": type(exc).__name__, "detail": str(exc)}
+
+
+def _gw_block(tree, values) -> dict:
     rep = gw.estimate_reproduction(tree)
-    out["gw"] = {
+    return {
         "phat": rep.phat.tolist(),
         "mother_counts": list(rep.mother_counts),
         "zhat": list(rep.zhat),
     }
+
+
+def _bar_block(tree, values) -> dict:
     est = bar.estimate_bar(values, tree)
     a, b, c, d = est.theta
-    out["bar"] = {
+    return {
         "a": a, "b": b, "c": c, "d": d,
         "sigma2": est.sigma2_hat,
         "rho": est.rho_hat,
         "cov": est.cov.tolist(),
         "warnings": list(est.warnings),
     }
+
+
+def _cmd_estimate(args) -> int:
+    """Print every block that is defined on the data; an undefined one
+    becomes an error object, and the exit code is then EXIT_DEGENERATE."""
+    tree, values = ingest(args.path)
+    out = {"depth": tree.depth, "n_observed": tree.observed_indices().size}
+    code = EXIT_OK
+    for key, block in (("gw", _gw_block), ("bar", _bar_block)):
+        try:
+            out[key] = block(tree, values)
+        except StatError as exc:
+            out[key] = _error_json(exc)
+            code = EXIT_DEGENERATE
     print(json.dumps(out, indent=2))
-    return EXIT_OK
-
-
-def _run_one_test(tree, values, which: str):
-    name = _TEST_ALIASES[which]
-    if name == "gw_mean":
-        return gw.gw_mean_test(tree)
-    est = bar.estimate_bar(values, tree)
-    return bar.coefficient_test(est) if name == "coefficient" else bar.fixed_point_test(est)
+    return code
 
 
 def _cmd_test(args) -> int:
     tree, values = ingest(args.path)
     try:
-        report = _run_one_test(tree, values, args.which)
+        report = mc.run_test(_TEST_ALIASES[args.which], tree, values)
     except StatError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
+        print(json.dumps(_error_json(exc)))
         return EXIT_DEGENERATE
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK
+
+
+def _write_out(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_batch(args) -> int:
@@ -173,17 +192,12 @@ def _cmd_batch(args) -> int:
         if tree.depth < args.min_generations:
             continue
         try:
-            report = _run_one_test(tree, values, args.which)
-            p = f"{report.p_value:.17g}"
+            p = f"{mc.run_test(name, tree, values).p_value:.17g}"
         except StatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             p = "nan"
         lines.append(f"{path.name},{name},{p}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -233,11 +247,7 @@ def _build_mc_config(args) -> mc.McConfig:
 def _cmd_mc(args) -> int:
     config = _build_mc_config(args)
     table = mc.run_table(config, workers=args.workers)
-    text = mc.emit_table(table, args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_out(mc.emit_table(table, args.format), args.out)
     return EXIT_OK
 
 

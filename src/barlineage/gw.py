@@ -21,12 +21,11 @@ from .errors import (
     InsufficientData,
     NotPositive,
 )
-from .numerics import chi2_sf
+from .numerics import VARIANCE_FLOOR, chi2_sf
 from .report import TestReport
 from .tree import ObservationTree
 
 _SUM_TOL = 1e-12
-VARIANCE_FLOOR = 1e-14
 
 # gradient of the mean difference m(p) w.r.t. the 8 stacked probabilities
 MEAN_DIFF_GRADIENT = np.array([0.0, 1.0, 1.0, 2.0, 0.0, -1.0, -1.0, -2.0])
@@ -53,9 +52,6 @@ class ReproductionLaw:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p00, self.p10, self.p01, self.p11])
-
-    def mean_offspring(self) -> float:
-        return self.p10 + self.p01 + 2.0 * self.p11
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bar import ValueTree
-from .errors import DepthError, DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
+from .errors import DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
 from .tree import MAX_DEPTH, ObservationTree, generation
 
 HEADER = "index,value"
@@ -63,15 +63,12 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
     if generation(deepest) > MAX_DEPTH:
         raise IndexOutOfRange(deepest)
     depth = max(generation(deepest), depth_hint, 1)
-    if depth > MAX_DEPTH:
-        raise DepthError(depth, MAX_DEPTH)
-    delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
+    # from_indices rejects a depth above MAX_DEPTH and reports the
+    # smallest orphan label, if any
+    tree = ObservationTree.from_indices(depth, entries)
     x = np.zeros(1 << (depth + 1))
-    for k, v in entries.items():
-        delta[k] = 1
-        x[k] = v
-    # ObservationTree reports the smallest orphan label, if any
-    return ObservationTree(depth, delta), ValueTree(depth, x)
+    x[list(entries)] = list(entries.values())
+    return tree, ValueTree(depth, x)
 
 
 def emit_lineage(tree: ObservationTree, values: ValueTree, params: dict | None = None) -> str:

@@ -24,6 +24,7 @@ import numpy as np
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
 from .numerics import replica_stream
+from .report import TestReport
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -104,6 +105,19 @@ def table_config(table: int, replicas: int = 1000, master_seed: int = 0,
     raise ValueError(f"no preset for table {table}")
 
 
+def run_test(which_test: str, tree, values) -> TestReport:
+    """Run one of ``TESTS`` on a lineage.  ``values`` is not read by
+    ``gw_mean`` and may be None there."""
+    if which_test not in TESTS:
+        raise ValueError(f"which_test must be one of {TESTS}")
+    if which_test == "gw_mean":
+        return gw.gw_mean_test(tree)
+    est = bar.estimate_bar(values, tree)
+    if which_test == "coefficient":
+        return bar.coefficient_test(est)
+    return bar.fixed_point_test(est)
+
+
 def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: int):
     """One replica: simulate, test, return a p-value, EXTINCT or DEGENERATE."""
     rng = replica_stream(
@@ -115,22 +129,14 @@ def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: 
     tree = gw.simulate_observation_tree(gw_model, generation, rng)
     if tree.counts().extinct:
         return EXTINCT
+    values = None
+    if config.which_test != "gw_mean":
+        model = config.bar_null if hypothesis == "H0" else config.bar_alt
+        values = bar.simulate_bar_values(model, generation, model.fixed_point_odd, rng)
     try:
-        if config.which_test == "gw_mean":
-            report = gw.gw_mean_test(tree)
-        else:
-            model = config.bar_null if hypothesis == "H0" else config.bar_alt
-            values = bar.simulate_bar_values(
-                model, generation, model.fixed_point_odd, rng
-            )
-            est = bar.estimate_bar(values, tree)
-            if config.which_test == "coefficient":
-                report = bar.coefficient_test(est)
-            else:
-                report = bar.fixed_point_test(est)
+        return run_test(config.which_test, tree, values).p_value
     except StatError:
         return DEGENERATE
-    return report.p_value
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import Singular
 
 MAX_COND = 1e12
+# a variance at or below this is treated as zero by every Wald test
+VARIANCE_FLOOR = 1e-14
 
 _MASK64 = (1 << 64) - 1
 

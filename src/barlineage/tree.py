@@ -124,12 +124,12 @@ class ObservationTree:
     def from_indices(cls, depth: int, observed) -> "ObservationTree":
         if not (1 <= depth <= MAX_DEPTH):
             raise DepthError(depth, MAX_DEPTH)
+        labels = np.fromiter(observed, dtype=np.int64)
         delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
-        for k in observed:
-            k = int(k)
-            if not 1 <= k < len(delta):
-                raise IndexOutOfRange(k)
-            delta[k] = 1
+        bad = labels[(labels < 1) | (labels >= delta.size)]
+        if bad.size:
+            raise IndexOutOfRange(int(bad[0]))
+        delta[labels] = 1
         return cls(depth, delta)
 
     def observed_indices(self) -> np.ndarray:

@@ -1,0 +1,72 @@
+"""The public API is what the README documents.
+
+Three contracts, checked on the source text:
+- every name the package root exports appears in README.md;
+- every name the README's code blocks or the demos import from
+  ``barlineage`` is exported by the root;
+- no module of the package imports a name it never uses.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import barlineage
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+MODULES = sorted(
+    p for p in (ROOT / "src" / "barlineage").glob("*.py") if p.name != "__init__.py"
+)
+
+
+def root_imports(source: str) -> set[str]:
+    """Names imported with ``from barlineage import ...``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "barlineage"
+        for alias in node.names
+    }
+
+
+def readme_code() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
+
+
+@pytest.mark.parametrize("name", sorted(barlineage.__all__))
+def test_exported_name_is_documented(name):
+    assert re.search(rf"\b{re.escape(name)}\b", README), f"{name} is not in README.md"
+
+
+def test_readme_and_demos_import_only_exported_names():
+    sources = readme_code() + [
+        p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))
+    ]
+    assert len(sources) > 3
+    imported = set().union(*(root_imports(s) for s in sources))
+    assert imported, "no root import found"
+    assert imported <= set(barlineage.__all__), imported - set(barlineage.__all__)
+
+
+def unused_imports(source: str) -> set[str]:
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return bound - used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == set()
+
+
+def test_unused_import_is_found():
+    assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == {"math"}

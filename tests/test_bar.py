@@ -287,6 +287,13 @@ class TestCoefficientTest:
         with pytest.raises(DegenerateVariance):
             coefficient_test(est)
 
+    def test_variance_at_the_floor_is_degenerate(self):
+        # an exact fit leaves a covariance of roundoff size: the same
+        # floor as the other two tests applies, not a p-value of 0
+        est = make_estimate([0.1, 0.2, 0.3, 0.4], 1e-30 * np.eye(4))
+        with pytest.raises(DegenerateVariance):
+            coefficient_test(est)
+
 
 class TestFixedPointTest:
     def test_equal_fixed_points_give_zero(self):

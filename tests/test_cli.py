@@ -5,18 +5,20 @@ import pytest
 
 from barlineage import (
     BarModel,
-    DepthError,
-    DuplicateIndex,
-    IndexOutOfRange,
-    MissingRoot,
     ObservationTree,
-    OrphanCell,
     ParseError,
     ValueTree,
     emit_lineage,
     ingest,
 )
 from barlineage.cli import main
+from barlineage.errors import (
+    DepthError,
+    DuplicateIndex,
+    IndexOutOfRange,
+    MissingRoot,
+    OrphanCell,
+)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -186,6 +188,25 @@ class TestEstimate:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
+
+    def test_undefined_block_gives_partial_report(self, tmp_path, capsys):
+        # a chain of even daughters: the GW law is estimable, the BAR fit
+        # has no odd daughters
+        rows = "".join(f"{k},{0.1 * i}\n" for i, k in enumerate((1, 2, 4, 8, 16, 32)))
+        path = write(tmp_path, "index,value\n" + rows)
+        assert main(["estimate", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["depth"] == 5 and out["n_observed"] == 6
+        assert len(out["gw"]["phat"]) == 8
+        assert out["bar"]["error"] == "SingularDesign"
+        assert "type 1" in out["bar"]["detail"]
+
+    def test_depth_one_has_no_gw_block(self, tmp_path, capsys):
+        path = write(tmp_path, "index,value\n1,1.0\n2,0.5\n3,0.25\n")
+        assert main(["estimate", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["gw"]["error"] == "InsufficientData"
+        assert out["bar"]["error"] == "SingularDesign"
 
 
 class TestTestCommand:

@@ -41,8 +41,9 @@ class TestReproductionLaw:
             ReproductionLaw(-0.1, 0.55, 0.55, 0.0)
 
     def test_mean(self):
-        assert P0.mean_offspring() == pytest.approx(1.76)
-        assert P1.mean_offspring() == pytest.approx(1.54)
+        # row i of the descendants matrix sums to type i's mean offspring
+        rows = GwModel(P0, P1).descendants_matrix().sum(axis=1)
+        assert rows == pytest.approx([1.76, 1.54])
 
 
 class TestDominantEigen:

@@ -4,9 +4,8 @@ import pytest
 from barlineage import (
     BarModel,
     GwModel,
-    McCell,
     McConfig,
-    McTable,
+    ObservationTree,
     ReproductionLaw,
     TooManyDiscards,
     emit_table,
@@ -15,7 +14,16 @@ from barlineage import (
     run_table,
     table_config,
 )
-from barlineage.mc import DEGENERATE, EXTINCT, P0_LAW, P1_LAW, bounded_workers
+from barlineage.mc import (
+    DEGENERATE,
+    EXTINCT,
+    P0_LAW,
+    P1_LAW,
+    McCell,
+    McTable,
+    bounded_workers,
+    run_test,
+)
 
 SMALL = table_config(1, replicas=40, generations=(7, 8), master_seed=5)
 
@@ -84,6 +92,16 @@ class TestRunReplica:
         cfg = McConfig(which_test="gw_mean", gw_null=dead, replicas=4,
                        generations=(7,))
         assert run_replica(cfg, "H0", 7, 0) == EXTINCT
+
+    def test_exact_fit_is_degenerate(self):
+        # two daughters per type at generation 3: sigma2_hat is roundoff
+        cfg = table_config(2, master_seed=1, generations=(3,))
+        assert run_replica(cfg, "H0", 3, 33) == DEGENERATE
+
+    def test_run_test_rejects_unknown_name(self):
+        tree = ObservationTree.from_indices(3, range(1, 16))
+        with pytest.raises(ValueError):
+            run_test("anova", tree, None)
 
 
 class TestRunTable:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from barlineage import chi2_sf, gaussian_pair, invert, replica_stream
+from barlineage import chi2_sf, replica_stream
 from barlineage.errors import Singular
+from barlineage.numerics import gaussian_pair, invert
 
 
 class TestInvert:
