@@ -15,6 +15,7 @@ c/(1-d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,17 +84,28 @@ class ValueTree:
 def simulate_bar_values(
     model: BarModel, depth: int, x1: float, rng: np.random.Generator
 ) -> ValueTree:
-    """Iterate the recursion on the FULL tree (missingness is applied later)."""
+    """Iterate the recursion on the FULL tree (missingness is applied later).
+
+    One draw fills x[2:] with every normal of the tree: generation g's
+    2 * 2^g normals (g1, then g2) land on its daughters' slots
+    x[2^(g+1) : 2^(g+2)], which the generation turns into its sisters'
+    noise and then overwrites with their traits.
+    """
     x = np.zeros(1 << (depth + 1))
     x[1] = x1
+    noisy = model.sigma2 > 0
+    if noisy:
+        rng.standard_normal(out=x[2:])
     for g in range(depth):
-        mothers = np.arange(1 << g, 1 << (g + 1))
-        if model.sigma2 > 0:
-            e0, e1 = gaussian_pair(model.sigma2, model.rho, rng, size=mothers.size)
+        size = 1 << g
+        mothers, daughters = x[size : 2 * size], x[2 * size : 4 * size]
+        if noisy:
+            e0, e1 = gaussian_pair(model.sigma2, model.rho, daughters[:size], daughters[size:])
         else:
             e0 = e1 = 0.0
-        x[2 * mothers] = model.a + model.b * x[mothers] + e0
-        x[2 * mothers + 1] = model.c + model.d * x[mothers] + e1
+        sisters = daughters.reshape(size, 2)
+        sisters[:, 0] = model.a + model.b * mothers + e0
+        sisters[:, 1] = model.c + model.d * mothers + e1
     return ValueTree(depth, x)
 
 
@@ -112,6 +124,14 @@ class SufficientStats:
     s01: np.ndarray
     rhs: np.ndarray
     counts: tuple[int, int, int]
+
+    @cached_property
+    def design_inverse(self) -> np.ndarray:
+        """Inverses of s0 and s1 as a (2, 2, 2) stack, computed on first use."""
+        try:
+            return invert(np.stack([self.s0, self.s1]))
+        except Singular as exc:
+            raise SingularDesign(exc.index, exc.cond) from exc
 
 
 def _daughters(values: ValueTree, tree: ObservationTree):
@@ -139,20 +159,10 @@ def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStat
     return SufficientStats(_moment(xm0), _moment(xm1), _moment(both), rhs, counts)
 
 
-def _invert_design(stats: SufficientStats, i: int) -> np.ndarray:
-    """Inverse of the design block of type-i daughters."""
-    try:
-        return invert(stats.s1 if i else stats.s0)
-    except Singular as exc:
-        raise SingularDesign(i, exc.cond) from exc
-
-
 def ls_estimate(stats: SufficientStats) -> np.ndarray:
     """Least-squares (a, b, c, d): one 2x2 solve per daughter type."""
-    theta = np.empty(4)
-    for i in (0, 1):
-        theta[2 * i : 2 * i + 2] = _invert_design(stats, i) @ stats.rhs[2 * i : 2 * i + 2]
-    return theta
+    inv0, inv1 = stats.design_inverse
+    return np.concatenate([inv0 @ stats.rhs[:2], inv1 @ stats.rhs[2:]])
 
 
 @dataclass(frozen=True)
@@ -198,8 +208,7 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: fl
     gamma[:2, 2:] = rho_hat * stats.s01
     gamma[2:, :2] = rho_hat * stats.s01
     sig_inv = np.zeros((4, 4))
-    sig_inv[:2, :2] = _invert_design(stats, 0)
-    sig_inv[2:, 2:] = _invert_design(stats, 1)
+    sig_inv[:2, :2], sig_inv[2:, 2:] = stats.design_inverse
     c = t * sig_inv @ gamma @ sig_inv
     return 0.5 * (c + c.T)  # symmetrize away roundoff
 
@@ -243,7 +252,10 @@ def coefficient_test(est: BarEstimate) -> TestReport:
     t = est.counts[0]
     delta_c = COEFF_GRADIENT.T @ est.cov @ COEFF_GRADIENT
     eigs = np.linalg.eigvalsh(0.5 * (delta_c + delta_c.T))
-    if eigs[0] <= VARIANCE_FLOOR or eigs[1] > MAX_COND * eigs[0]:
+    # eigvalsh may return finite eigenvalues for a matrix with a nan entry,
+    # so the entries are checked; the negated bounds reject nan eigenvalues
+    finite = np.isfinite(delta_c).all()
+    if not (finite and VARIANCE_FLOOR < eigs[0] and eigs[1] <= MAX_COND * eigs[0]):
         raise DegenerateVariance(f"coefficient-difference covariance eigenvalues {eigs}")
     diff = np.array([est.theta[0] - est.theta[2], est.theta[1] - est.theta[3]])
     # the eigenvalue bound above is the conditioning check
@@ -271,7 +283,7 @@ def fixed_point_test(est: BarEstimate) -> TestReport:
         [1.0 / (1.0 - b), a / (1.0 - b) ** 2, -1.0 / (1.0 - d), -c / (1.0 - d) ** 2]
     )
     delta_f = float(grad @ est.cov @ grad)
-    if delta_f <= VARIANCE_FLOOR:
+    if not VARIANCE_FLOOR < delta_f < np.inf:  # nan fails too
         raise DegenerateVariance(f"fixed-point variance {delta_f:.3g}")
     diff = fp0 - fp1
     statistic = est.counts[0] * diff * diff / delta_f

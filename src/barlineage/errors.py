@@ -80,9 +80,11 @@ class NearUnitRoot(StatError):
 
 
 class Singular(BarLineageError):
-    def __init__(self, cond):
+    def __init__(self, cond, index=None):
         self.cond = cond
-        super().__init__(f"matrix numerically singular (condition estimate {cond:.3g})")
+        self.index = index  # flat position in a stack of matrices, if any
+        which = "matrix" if index is None else f"matrix {index} of the stack"
+        super().__init__(f"{which} numerically singular (condition estimate {cond:.3g})")
 
 
 class ParseError(BarLineageError):

@@ -181,7 +181,7 @@ def gw_mean_test(tree: ObservationTree) -> TestReport:
     v = reproduction_covariance(est)
     m_hat = float(MEAN_DIFF_GRADIENT @ est.phat)
     delta_gw = float(MEAN_DIFF_GRADIENT @ v @ MEAN_DIFF_GRADIENT)
-    if delta_gw <= VARIANCE_FLOOR:
+    if not VARIANCE_FLOOR < delta_gw < np.inf:  # nan fails too
         raise DegenerateVariance(f"mean-difference variance {delta_gw:.3g}")
     statistic = est.t_star * m_hat * m_hat / delta_gw
     return TestReport(

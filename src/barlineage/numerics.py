@@ -8,6 +8,13 @@ streams for different tuples, and normal variates come from numpy's
 ziggurat ``standard_normal`` on that stream.  This triple (Philox,
 splitmix64 keying, ziggurat normals) is the reproducibility contract:
 replica results are bit-identical across runs and worker counts.
+
+Stream layout of one Monte Carlo replica of depth n: first 2^n - 1
+uniforms, one per mother slot 1 .. 2^n - 1 in label order (the GW tree,
+drawn even for unobserved mothers); then, for the trait tests, 2 * 2^g
+normals per generation g = 0 .. n-1, the g1 block of that generation's
+mothers followed by its g2 block (see ``gaussian_pair``).  Changing
+this layout changes every table.
 """
 
 from __future__ import annotations
@@ -43,11 +50,19 @@ def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
 
 
 def invert(m) -> np.ndarray:
-    """Inverse of a small dense matrix, refusing ill-conditioned input."""
+    """Inverse of a small dense matrix, or of each matrix of a (..., k, k)
+    stack, refusing ill-conditioned input.  For a stack, ``Singular.index``
+    is the flat position of the first ill-conditioned matrix."""
     m = np.asarray(m, dtype=float)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > MAX_COND:
-        raise Singular(cond if np.isfinite(cond) else np.inf)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # a matrix with a nan or inf entry is singular; it is zeroed before
+    # the SVD, which raises LinAlgError on nan
+    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], m, 0.0)), np.inf)
+    cond = cond.ravel()
+    bad = np.flatnonzero(~(cond <= MAX_COND))  # nan fails the comparison too
+    if bad.size:
+        c = cond[bad[0]]
+        raise Singular(c if np.isfinite(c) else np.inf, int(bad[0]) if m.ndim > 2 else None)
     return np.linalg.inv(m)
 
 
@@ -56,7 +71,7 @@ def chi2_sf(x: float, df: int) -> float:
 
     df=1 reduces to erfc(sqrt(x/2)); df=2 to exp(-x/2).
     """
-    if x < 0:
+    if not x >= 0:  # also rejects nan
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     if df == 1:
         return math.erfc(math.sqrt(x / 2.0))
@@ -65,9 +80,8 @@ def chi2_sf(x: float, df: int) -> float:
     raise ValueError(f"unsupported df {df}; only 1 and 2 occur here")
 
 
-def gaussian_pair(sigma2: float, rho: float, rng: np.random.Generator, size: int):
-    """``size`` correlated centered Gaussian pairs with covariance
-    [[s2, rho], [rho, s2]].
+def gaussian_pair(sigma2: float, rho: float, g1: np.ndarray, g2: np.ndarray):
+    """Correlated centered Gaussian pairs with covariance [[s2, rho], [rho, s2]].
 
     Fixed transform of two standard-normal arrays g1, g2 (g1 drawn first):
         e0 = sigma * g1
@@ -79,7 +93,6 @@ def gaussian_pair(sigma2: float, rho: float, rng: np.random.Generator, size: int
         raise ValueError(f"|rho| = {abs(rho)} exceeds sigma2 = {sigma2}")
     sigma = math.sqrt(sigma2)
     resid = math.sqrt(max(sigma2 - rho * rho / sigma2, 0.0))
-    g1, g2 = rng.standard_normal((2, size))
     e0 = sigma * g1
     e1 = (rho / sigma) * g1 + resid * g2
     return e0, e1

@@ -5,6 +5,8 @@ per-cell index arithmetic (2k, 2k+1, k // 2) so they share no code path
 with the vectorized library implementations they are checked against.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -103,7 +105,36 @@ def brute_sandwich(s0, s1, s01, t_star, sigma2, rho):
     return (t_star * si) @ gamma @ (t_star * si)
 
 
+def brute_simulate_bar_values(model, depth, x1, rng):
+    """The recursion cell by cell, drawing one generation's normals at a
+    time: the g1 row for the mothers of generation g, then the g2 row."""
+    x = np.zeros(2 ** (depth + 1))
+    x[1] = x1
+    sigma = math.sqrt(model.sigma2)
+    for g in range(depth):
+        if model.sigma2 > 0:
+            g1, g2 = rng.standard_normal((2, 2 ** g))
+        for j, k in enumerate(range(2 ** g, 2 ** (g + 1))):
+            e0 = e1 = 0.0
+            if model.sigma2 > 0:
+                resid = math.sqrt(max(model.sigma2 - model.rho ** 2 / model.sigma2, 0.0))
+                e0 = sigma * g1[j]
+                e1 = (model.rho / sigma) * g1[j] + resid * g2[j]
+            x[2 * k] = model.a + model.b * x[k] + e0
+            x[2 * k + 1] = model.c + model.d * x[k] + e1
+    return x
+
+
 # --------------------------------------------------------------- fixtures
+
+def overflowing_leaves():
+    """Complete depth-3 tree whose leaves are +-1e155: the residual
+    squares overflow, so sigma2_hat is inf and rho_hat -inf."""
+    x = np.zeros(16)
+    x[1:8] = np.linspace(0.5, 2.0, 7)
+    x[8:] = 1e155 * np.array([1, -1, 1, -1, -1, 1, -1, 1])
+    return ObservationTree.from_indices(3, range(1, 16)), ValueTree(3, x)
+
 
 def random_tree(depth, rng, p_obs=0.8):
     """Random valid observation tree: each daughter present w.p. p_obs

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlineage import (
     BarModel,
@@ -24,7 +26,9 @@ from barlineage.errors import DegenerateVariance, NearUnitRoot, SingularDesign
 from conftest import (
     brute_noise,
     brute_sandwich,
+    brute_simulate_bar_values,
     brute_sufficient_stats,
+    overflowing_leaves,
     random_tree,
     random_values,
 )
@@ -71,6 +75,23 @@ class TestSimulateBarValues:
         b = simulate_bar_values(m, 5, 1.0, replica_stream(9, 1))
         assert np.array_equal(a.x, b.x)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(1, 11),
+        sigma2=st.sampled_from([0.0]) | st.floats(0.01, 10.0),
+        rho_frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_generation_loop(self, depth, sigma2, rho_frac, seed):
+        # the whole-tree draw keeps the per-generation stream layout:
+        # the same traits bit for bit, and the stream left at the same place
+        model = BarModel(0.4, 0.3, -0.7, 0.6, sigma2, rho_frac * sigma2)
+        ours, brute = replica_stream(seed, depth), replica_stream(seed, depth)
+        v = simulate_bar_values(model, depth, 1.3, ours)
+        x = brute_simulate_bar_values(model, depth, 1.3, brute)
+        assert v.x.tobytes() == x.tobytes()
+        assert ours.random() == brute.random()
+
     @pytest.mark.slow
     def test_mean_converges_to_fixed_point(self):
         # a = c, b = d: one AR fixed point a/(1-b) = 1
@@ -99,6 +120,10 @@ class TestSufficientStats:
         s = sufficient_stats(v, tree)
         assert (s.s1 == 0).all()
         assert s.rhs[2] == 0 and s.rhs[3] == 0
+        # only the odd block is singular, and only a fit reads it
+        with pytest.raises(SingularDesign) as exc:
+            ls_estimate(s)
+        assert exc.value.cell_type == 1
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
@@ -147,8 +172,17 @@ class TestLsEstimate:
     def test_single_mother_is_singular(self):
         tree = full_tree(1)
         v = ValueTree(1, np.array([0.0, 3.0, 1.0, 2.0]))
-        with pytest.raises(SingularDesign):
+        with pytest.raises(SingularDesign) as exc:
             ls_estimate(sufficient_stats(v, tree))
+        assert exc.value.cell_type == 0  # both blocks are singular: block 0 is named
+
+    def test_design_inverse_matches_each_block(self, rng):
+        tree = random_tree(5, rng)
+        s = sufficient_stats(random_values(5, rng), tree)
+        assert s.design_inverse.shape == (2, 2, 2)
+        assert np.array_equal(s.design_inverse[0], np.linalg.inv(s.s0))
+        assert np.array_equal(s.design_inverse[1], np.linalg.inv(s.s1))
+        assert s.design_inverse is s.design_inverse  # computed once
 
     @pytest.mark.slow
     def test_monte_carlo_consistency(self):
@@ -287,6 +321,20 @@ class TestCoefficientTest:
         with pytest.raises(DegenerateVariance):
             coefficient_test(est)
 
+    def test_non_finite_covariance_is_degenerate(self):
+        tree, values = overflowing_leaves()
+        with np.errstate(all="ignore"):
+            est = estimate_bar(values, tree)
+            with pytest.raises(DegenerateVariance):
+                coefficient_test(est)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_degenerate(self, bad):
+        cov = np.eye(4)
+        cov[0, 0] = bad
+        with np.errstate(all="ignore"), pytest.raises(DegenerateVariance):
+            coefficient_test(make_estimate([0.1, 0.2, 0.3, 0.4], cov))
+
     def test_variance_at_the_floor_is_degenerate(self):
         # an exact fit leaves a covariance of roundoff size: the same
         # floor as the other two tests applies, not a p-value of 0
@@ -318,6 +366,13 @@ class TestFixedPointTest:
         est = make_estimate([0.5, 0.5, 0.5, 0.4], np.zeros((4, 4)))
         with pytest.raises(DegenerateVariance):
             fixed_point_test(est)
+
+    def test_non_finite_variance_is_degenerate(self):
+        tree, values = overflowing_leaves()
+        with np.errstate(all="ignore"):
+            est = estimate_bar(values, tree)
+            with pytest.raises(DegenerateVariance):
+                fixed_point_test(est)
 
 
 class TestEndToEndProperties:

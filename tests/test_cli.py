@@ -20,6 +20,8 @@ from barlineage.errors import (
     OrphanCell,
 )
 
+from conftest import overflowing_leaves
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -30,6 +32,9 @@ def write(tmp_path, text, name="data.csv"):
 GOOD = "index,value\n1,0.5\n2,1.0\n3,-0.25\n6,2.0\n7,0.75\n"
 # finite traits whose squares overflow the moment sums
 HUGE = "index,value\n" + "".join(f"{k},{1e200 * (1 + k / 100)!r}\n" for k in range(1, 16))
+# +-1e308 traits by parity: the summed mother traits meet as inf - inf = nan
+CANCELLING = "index,value\n" + "".join(
+    f"{k},{1e308 if k % 2 == 0 else -1e308!r}\n" for k in range(1, 64))
 
 
 class TestIngest:
@@ -284,6 +289,24 @@ class TestBatch:
         assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == ["huge.csv,fixed_point,nan"]
+        assert "singular" in captured.err
+
+    @pytest.mark.parametrize("which,test", [("fixed", "fixed_point"), ("coeff", "coefficient")])
+    def test_non_finite_statistic_prints_nan(self, tmp_path, capsys, which, test):
+        tree, values = overflowing_leaves()
+        write(tmp_path, emit_lineage(tree, values), name="leaves.csv")
+        with np.errstate(all="ignore"):
+            assert main(["batch", str(tmp_path), "--which", which]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [f"leaves.csv,{test},nan"]
+        assert "variance is degenerate" in captured.err
+
+    def test_nan_moments_print_nan(self, tmp_path, capsys):
+        write(tmp_path, CANCELLING, name="cancel.csv")
+        with np.errstate(all="ignore"):
+            assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["cancel.csv,fixed_point,nan"]
         assert "singular" in captured.err
 
     def test_out_file(self, tmp_path):

@@ -14,6 +14,7 @@ from barlineage import (
     run_table,
     table_config,
 )
+from barlineage import bar, gw
 from barlineage.mc import (
     DEGENERATE,
     EXTINCT,
@@ -24,6 +25,8 @@ from barlineage.mc import (
     bounded_workers,
     run_test,
 )
+
+from conftest import overflowing_leaves
 
 SMALL = table_config(1, replicas=40, generations=(7, 8), master_seed=5)
 
@@ -97,6 +100,15 @@ class TestRunReplica:
         # two daughters per type at generation 3: sigma2_hat is roundoff
         cfg = table_config(2, master_seed=1, generations=(3,))
         assert run_replica(cfg, "H0", 3, 33) == DEGENERATE
+
+    @pytest.mark.parametrize("table", [2, 3])
+    def test_non_finite_statistic_is_degenerate(self, monkeypatch, table):
+        tree, values = overflowing_leaves()
+        monkeypatch.setattr(gw, "simulate_observation_tree", lambda *args: tree)
+        monkeypatch.setattr(bar, "simulate_bar_values", lambda *args: values)
+        cfg = table_config(table, generations=(3,))
+        with np.errstate(all="ignore"):
+            assert run_replica(cfg, "H0", 3, 0) == DEGENERATE
 
     def test_run_test_rejects_unknown_name(self):
         tree = ObservationTree.from_indices(3, range(1, 16))

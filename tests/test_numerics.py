@@ -28,8 +28,31 @@ class TestInvert:
             assert np.abs(m @ invert(m) - np.eye(n)).max() < 1e-9
 
     def test_singular_raises(self):
-        with pytest.raises(Singular):
+        with pytest.raises(Singular) as exc:
             invert([[1.0, 1.0], [1.0, 1.0]])
+        assert exc.value.index is None
+
+    def test_stack_is_bit_equal_to_each_matrix(self, rng):
+        for n in (2, 4):
+            stack = rng.normal(size=(50, n, n)) + 3 * np.eye(n)
+            stack = stack[np.linalg.cond(stack) < 1e6]
+            inv = invert(stack)
+            for m, m_inv in zip(stack, inv):
+                assert np.array_equal(invert(m), m_inv)
+
+    @pytest.mark.parametrize("bad,first", [((1,), 1), ((0, 1), 0), ((2, 0), 0)])
+    def test_stack_names_the_first_singular_matrix(self, bad, first):
+        stack = np.stack([np.eye(2)] * 3)
+        for i in bad:
+            stack[i] = [[1.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(Singular) as exc:
+            invert(stack)
+        assert exc.value.index == first
+        assert exc.value.cond == np.inf or exc.value.cond > 1e12
+
+    def test_nan_entry_is_singular(self):
+        with pytest.raises(Singular):
+            invert(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 class TestChi2Sf:
@@ -59,22 +82,22 @@ class TestChi2Sf:
             chi2_sf(-0.1, 1)
         with pytest.raises(ValueError):
             chi2_sf(1.0, 3)
+        for df in (1, 2):
+            with pytest.raises(ValueError):
+                chi2_sf(float("nan"), df)
 
 
 class TestGaussianPair:
     def test_rank_one_covariance_means_identical_sisters(self):
-        stream = replica_stream(5)
-        e0, e1 = gaussian_pair(1.0, 1.0, stream, size=1000)
+        e0, e1 = gaussian_pair(1.0, 1.0, *replica_stream(5).standard_normal((2, 1000)))
         assert np.array_equal(e0, e1)
 
     def test_zero_correlation(self):
-        stream = replica_stream(6)
-        e0, e1 = gaussian_pair(1.0, 0.0, stream, size=100_000)
+        e0, e1 = gaussian_pair(1.0, 0.0, *replica_stream(6).standard_normal((2, 100_000)))
         assert abs(np.corrcoef(e0, e1)[0, 1]) < 0.01
 
     def test_covariance_matches_target(self):
-        stream = replica_stream(7)
-        e0, e1 = gaussian_pair(1.0, 0.5, stream, size=1_000_000)
+        e0, e1 = gaussian_pair(1.0, 0.5, *replica_stream(7).standard_normal((2, 1_000_000)))
         cov = np.cov(e0, e1)
         assert abs(cov[0, 0] - 1.0) < 0.01
         assert abs(cov[1, 1] - 1.0) < 0.01
@@ -82,9 +105,9 @@ class TestGaussianPair:
 
     def test_rejects_invalid_correlation(self):
         with pytest.raises(ValueError):
-            gaussian_pair(1.0, 1.5, replica_stream(0), size=1)
+            gaussian_pair(1.0, 1.5, np.zeros(1), np.zeros(1))
         with pytest.raises(ValueError):
-            gaussian_pair(0.0, 0.0, replica_stream(0), size=1)
+            gaussian_pair(0.0, 0.0, np.zeros(1), np.zeros(1))
 
     def test_standard_normal_moments(self):
         g = replica_stream(99).standard_normal(1_000_000)
