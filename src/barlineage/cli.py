@@ -186,10 +186,12 @@ def _cmd_batch(args) -> int:
     for path in sorted(Path(args.directory).glob("*.csv")):
         try:
             tree, values = ingest(path)
-        except BarLineageError as exc:
+        except (BarLineageError, OSError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             continue
         if tree.depth < args.min_generations:
+            print(f"{path}: skipped, depth {tree.depth} < --min-generations "
+                  f"{args.min_generations}", file=sys.stderr)
             continue
         try:
             p = f"{mc.run_test(name, tree, values).p_value:.17g}"

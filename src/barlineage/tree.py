@@ -124,7 +124,10 @@ class ObservationTree:
     def from_indices(cls, depth: int, observed) -> "ObservationTree":
         if not (1 <= depth <= MAX_DEPTH):
             raise DepthError(depth, MAX_DEPTH)
-        labels = np.fromiter(observed, dtype=np.int64)
+        if isinstance(observed, np.ndarray):
+            labels = observed.astype(np.int64, copy=False)
+        else:
+            labels = np.fromiter(observed, dtype=np.int64)
         delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
         bad = labels[(labels < 1) | (labels >= delta.size)]
         if bad.size:

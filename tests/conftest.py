@@ -12,6 +12,9 @@ import pytest
 from hypothesis import strategies as st
 
 from barlineage import ObservationTree, ValueTree
+from barlineage.errors import DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
+from barlineage.lineage_io import HEADER
+from barlineage.tree import MAX_DEPTH, generation
 
 
 # ---------------------------------------------------------------- oracles
@@ -123,6 +126,57 @@ def brute_simulate_bar_values(model, depth, x1, rng):
             x[2 * k] = model.a + model.b * x[k] + e0
             x[2 * k + 1] = model.c + model.d * x[k] + e1
     return x
+
+
+def brute_ingest(path):
+    """A lineage file read line by line, every check applied to each row
+    as it is read and the cells kept in a dict."""
+    entries = {}
+    depth_hint = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        saw_header = False
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                if line.removeprefix("#").strip().startswith("depth="):
+                    try:
+                        depth_hint = int(line.split("=", 1)[1])
+                    except ValueError as exc:
+                        raise ParseError(line_no, f"bad depth comment: {exc}") from exc
+                continue
+            if not saw_header:
+                if line != HEADER:
+                    raise ParseError(line_no, f"expected header {HEADER!r}, got {line!r}")
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(line_no, f"expected 'index,value', got {line!r}")
+            try:
+                k = int(parts[0])
+                v = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from exc
+            if k < 1:
+                raise ParseError(line_no, f"cell index must be >= 1, got {k}")
+            if not math.isfinite(v):
+                raise ParseError(line_no, f"non-finite value {parts[1]!r}")
+            if k in entries:
+                raise DuplicateIndex(line_no, k)
+            entries[k] = v
+        if not saw_header:
+            raise ParseError(0, "empty file")
+    if 1 not in entries:
+        raise MissingRoot()
+    deepest = max(entries)
+    if generation(deepest) > MAX_DEPTH:
+        raise IndexOutOfRange(deepest)
+    depth = max(generation(deepest), depth_hint, 1)
+    tree = ObservationTree.from_indices(depth, entries)
+    x = np.zeros(2 ** (depth + 1))
+    for k, v in entries.items():
+        x[k] = v
+    return tree, ValueTree(depth, x)
 
 
 # --------------------------------------------------------------- fixtures

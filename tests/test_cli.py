@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlineage import (
+    BarLineageError,
     BarModel,
     ObservationTree,
     ParseError,
@@ -20,7 +23,7 @@ from barlineage.errors import (
     OrphanCell,
 )
 
-from conftest import overflowing_leaves
+from conftest import brute_ingest, observation_trees, overflowing_leaves
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -35,6 +38,77 @@ HUGE = "index,value\n" + "".join(f"{k},{1e200 * (1 + k / 100)!r}\n" for k in ran
 # +-1e308 traits by parity: the summed mother traits meet as inf - inf = nan
 CANCELLING = "index,value\n" + "".join(
     f"{k},{1e308 if k % 2 == 0 else -1e308!r}\n" for k in range(1, 64))
+
+
+# comment and blank lines that change nothing; "\x0b", "\x0c", "\x85" and
+# "\u2028" break lines for str.splitlines but not in a file
+NOISE = ["", "  ", "#", "# note", "# depth = 4", "\x0b", "\x0c", "\x85", "\u2028"]
+DEFECTS = ["extra field", "one field", "moved field", "non-integer label", "label < 1",
+           "non-finite", "duplicate", "missing root", "over-deep label", "orphan",
+           "bad header", "bad depth comment", "over-deep hint"]
+
+
+@st.composite
+def lineage_texts(draw):
+    """Lineage file bytes from emit_lineage output: comment, blank and
+    `# depth=` lines around the header, padded fields, any line ending,
+    and up to two of DEFECTS."""
+    tree = draw(observation_trees(min_depth=1, max_depth=5))
+    labels = tree.observed_indices()
+    x = np.zeros(tree.delta.size)
+    x[labels] = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=labels.size, max_size=labels.size))
+    rows = emit_lineage(tree, ValueTree(tree.depth, x)).splitlines()[1:]
+    header, extra = "index,value", []
+    for kind in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        if not rows:  # the root was the only row, and it is gone
+            break
+        r, pos = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows)))
+        k = rows[r].partition(",")[0]
+        if kind == "extra field":
+            rows[r] += ",9"
+        elif kind == "one field":
+            rows[r] = k
+        elif kind == "moved field":
+            # the field count stays twice the row count
+            rows[r], rows[pos - 1] = k, rows[pos - 1] + ",0.5"
+        elif kind == "non-integer label":
+            rows[r] = draw(st.sampled_from(["x", "1.", "0x"])) + rows[r]
+        elif kind == "label < 1":
+            rows[r] = draw(st.sampled_from(["0", "-3", str(-(1 << 70))])) + ",0.5"
+        elif kind == "non-finite":
+            rows[r] = k + "," + draw(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+        elif kind == "duplicate":
+            rows.insert(pos, k + ",0.5")
+        elif kind == "missing root":
+            rows = [row for row in rows if not row.startswith("1,")]
+        elif kind == "over-deep label":
+            rows.insert(pos, f"{draw(st.sampled_from([1 << 31, 1 << 70]))},0.5")
+        elif kind == "orphan":
+            rows.insert(pos, f"{2 * (int(labels[-1]) + 1)},0.5")
+        elif kind == "bad header":
+            header = "index;value"
+        else:
+            extra.append("# depth=x" if kind == "bad depth comment" else "# depth=31")
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    rows = [pad + f"{pad},{pad}".join(row.split(",")) + pad for row in rows]
+    hints = draw(st.lists(st.sampled_from(["# depth=3", "#depth= 6", "# depth=0"]), max_size=2))
+    lines = draw(st.lists(st.sampled_from(NOISE), max_size=3)) + [header] + rows
+    for line in hints + extra + draw(st.lists(st.sampled_from(NOISE), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from([end, ""]))
+    return (end.join(lines) + tail).encode("utf-8")
+
+
+def _outcome(read, path):
+    """What reading a lineage file gives: the tree and the values as
+    bytes, or the error's class, line and message."""
+    try:
+        tree, values = read(path)
+    except BarLineageError as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return tree.depth, tree.delta.tobytes(), values.x.tobytes()
 
 
 class TestIngest:
@@ -101,6 +175,7 @@ class TestIngest:
             "index,value\nx,0.0\n",
             "index,value\n1,nan\n",
             "index,value\n0,0.0\n",
+            f"index,value\n1,0.0\n{-(1 << 70)},0.0\n",
         ],
     )
     def test_parse_errors(self, tmp_path, text):
@@ -114,6 +189,51 @@ class TestIngest:
         assert tree.depth == 6
         assert tree.delta[1:].all()
         assert len(values.x) == 128
+
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"index,value\r\n1,0.5\r\n2,\xff\xfe\r\n")
+        with pytest.raises(ParseError) as exc:
+            ingest(path)
+        assert exc.value.line_no == 3
+        for argv in (["estimate", str(path)], ["test", str(path), "--which", "gw"]):
+            assert main(argv) == 1
+            assert "line 3" in capsys.readouterr().err
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "sub.csv").mkdir()
+        assert main(["estimate", str(tmp_path / "sub.csv")]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "index,value\n1,0.5\n2,nan\n1,0.25\n",
+            "index,value\n1,0.5\n2,0.25\n2,inf\n",
+            "index,value\n1,0.5\n2\n3,0.25,1\n",
+            "index,value\n1,0.5\n2,0.25\n0,x\n2,0.5\n",
+            "index,value\n1,0.5\n-1,1\n2,x\n",
+            "index,value\n1,0.5\n2,1e999\n-1,0.25\n",
+            "index,value\n1,0.5\n2,0.25\n# depth=x\n2,0.5\n",
+            "index,value\n1,0.5\n2,0.25\n2,0.5\n# depth=x\n",
+            "# depth=x\nindex;value\n",
+            "index;value\n# depth=x\n",
+            "# depth=31\nindex,value\n1,0.5\n2,0.25\n2,0.5\n",
+            f"index,value\n{1 << 70},0.5\n{1 << 70},0.5\n1,0.0\n",
+            f"index,value\n{1 << 70},0.5\n",
+            f"index,value\n1,0.5\n{1 << 70},0.5\n",
+        ],
+    )
+    def test_first_defect_wins(self, tmp_path, text):
+        path = write(tmp_path, text)
+        assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=lineage_texts())
+    def test_matches_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text)
+        assert _outcome(ingest, path) == _outcome(brute_ingest, path)
 
 
 class TestEmitLineage:
@@ -275,6 +395,20 @@ class TestBatch:
             assert ln.split(",")[1] == "gw_mean"
             assert 0.0 <= float(ln.split(",")[2]) <= 1.0
         assert "broken.csv" in captured.err
+        shallow = tmp_path / "shallow.csv"
+        assert f"{shallow}: skipped, depth 2 < --min-generations 3" in captured.err.splitlines()
+
+    def test_unreadable_files_do_not_stop_the_batch(self, tmp_path, capsys):
+        simulate_fixture(tmp_path, "a.csv", depth=7, seed=1)
+        (tmp_path / "bad.csv").write_bytes(b"index,value\n1,0.5\n2,\xff\xfe\n")
+        (tmp_path / "sub.csv").mkdir()
+        assert main(["batch", str(tmp_path), "--which", "gw"]) == 0
+        captured = capsys.readouterr()
+        assert [ln.split(",")[0] for ln in captured.out.splitlines()] == ["file", "a.csv"]
+        err = captured.err.splitlines()
+        assert f"{tmp_path / 'bad.csv'}: line 3: not UTF-8 (invalid start byte)" in err
+        assert any(ln.startswith(f"{tmp_path / 'sub.csv'}: ") and "Is a directory" in ln
+                   for ln in err)
 
     def test_degenerate_rows_print_nan(self, tmp_path, capsys):
         write(tmp_path, "index,value\n" +
