@@ -35,7 +35,8 @@ depth = 9
 tree = simulate_observation_tree(model, depth, stream)
 
 counts = tree.counts()
-print(f"\ndepth {depth}: {int(tree.delta.sum())} of {2 ** (depth + 1) - 1} cells observed")
+obs = tree.observed_indices()
+print(f"\ndepth {depth}: {obs.size} of {2 ** (depth + 1) - 1} cells observed")
 print("observed per generation:", counts.g_star.tolist())
 print("empirical growth factors:",
       np.round(counts.g_star[2:] / counts.g_star[1:-1], 3).tolist())
@@ -45,7 +46,6 @@ print("empirical growth factors:",
 bar = BarModel(a=0.5, b=0.5, c=0.5, d=0.4, sigma2=1.0, rho=0.5)
 values = simulate_bar_values(bar, depth, bar.fixed_point_odd, stream)
 
-obs = tree.observed_indices()
-print(f"\ntrait mean over observed cells: {values.x[obs].mean():.3f}")
+print(f"\ntrait mean over observed cells: {values.observed(tree).mean():.3f}")
 print(f"even fixed point a/(1-b) = {bar.fixed_point_even:.3f}, "
       f"odd fixed point c/(1-d) = {bar.fixed_point_odd:.3f}")

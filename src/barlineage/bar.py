@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateVariance, NearUnitRoot, Singular, SingularDesign
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, invert
 from .report import TestReport
-from .tree import ObservationTree, _reflect_array
+from .tree import ObservationTree, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
@@ -64,21 +64,61 @@ class BarModel:
 
 @dataclass(frozen=True)
 class ValueTree:
-    """Trait X[k] for every cell label, observed or not (index 0 unused)."""
+    """Traits of a lineage's cells.
+
+    With ``labels`` None, ``x`` holds every cell of the full tree and
+    x[k] is the trait of cell k (entry 0 unused): the simulator's draw.
+    Otherwise ``x[i]`` is the trait of cell ``labels[i]``, the labels
+    ascending: the cells a file lists.
+    """
 
     depth: int
     x: np.ndarray = field(repr=False)
+    labels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
-        if x.shape != (1 << (self.depth + 1),):
-            raise ValueError(f"x must have length 2^(depth+1) = {1 << (self.depth + 1)}")
-        if not np.isfinite(x[1:]).all():
+        if self.labels is None:
+            if x.shape != (1 << (self.depth + 1),):
+                raise ValueError(f"x must have length 2^(depth+1) = {1 << (self.depth + 1)}")
+            cells = x[1:]
+        else:
+            labels = np.asarray(self.labels, dtype=np.int64)
+            if x.shape != labels.shape:
+                raise ValueError("x must hold one trait per label")
+            if (labels[1:] <= labels[:-1]).any():
+                raise ValueError("labels must be strictly ascending")
+            object.__setattr__(self, "labels", labels)
+            cells = x
+        if not np.isfinite(cells).all():
             raise ValueError("trait values must be finite")
         object.__setattr__(self, "x", x)
 
+    def observed(self, tree: ObservationTree) -> np.ndarray:
+        """Traits of ``tree``'s observed cells, aligned with its labels."""
+        if self.depth != tree.depth:
+            raise ValueError("value tree and observation tree must share the same depth")
+        labels = tree.observed_indices()
+        if self.labels is labels:  # read from a file with this tree
+            return self.x
+        if self.labels is None:
+            return self.x[labels]
+        pos = np.searchsorted(self.labels, labels)
+        hit = pos < self.labels.size
+        hit[hit] = self.labels[pos[hit]] == labels[hit]
+        if not hit.all():
+            raise ValueError(f"no trait for observed cell {labels[~hit][0]}")
+        return self.x[pos]
+
     def reflect(self) -> "ValueTree":
-        return ValueTree(self.depth, _reflect_array(self.x, self.depth))
+        """The traits of the mirrored tree (see ObservationTree.reflect)."""
+        if self.labels is None:
+            x = self.x.copy()
+            x[1:] = self.x[mirror(np.arange(1, self.x.size))]
+            return ValueTree(self.depth, x)
+        mirrored = mirror(self.labels)
+        order = np.argsort(mirrored)
+        return ValueTree(self.depth, self.x[order], mirrored[order])
 
 
 def simulate_bar_values(
@@ -91,6 +131,7 @@ def simulate_bar_values(
     x[2^(g+1) : 2^(g+2)], which the generation turns into its sisters'
     noise and then overwrites with their traits.
     """
+    check_depth(depth)
     x = np.zeros(1 << (depth + 1))
     x[1] = x1
     noisy = model.sigma2 > 0
@@ -134,12 +175,10 @@ class SufficientStats:
             raise SingularDesign(exc.index, exc.cond) from exc
 
 
-def _daughters(values: ValueTree, tree: ObservationTree):
+def _daughters(x: np.ndarray, tree: ObservationTree):
     """(mother traits, daughter traits) of the observed type-0 and of the
-    observed type-1 daughters."""
-    kids = tree.observed_indices()[1:]  # every observed cell but the root
-    odd = (kids & 1).astype(bool)
-    return [(values.x[k >> 1], values.x[k]) for k in (kids[~odd], kids[odd])]
+    observed type-1 daughters, from the traits ``x`` of the observed cells."""
+    return [(x[m], x[k]) for m, k in tree.daughter_positions()]
 
 
 def _moment(xm: np.ndarray) -> np.ndarray:
@@ -148,12 +187,11 @@ def _moment(xm: np.ndarray) -> np.ndarray:
 
 
 def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStats:
-    if values.depth != tree.depth:
-        raise ValueError("value tree and observation tree must share the same depth")
+    x = values.observed(tree)
     n = tree.depth
-    (xm0, x0), (xm1, x1) = _daughters(values, tree)
+    (xm0, x0), (xm1, x1) = _daughters(x, tree)
     rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
-    both = values.x[tree.pair_mothers()]
+    both = x[tree.mother_positions()[tree.pair_positions() - 1]]
     c = tree.counts()
     counts = (int(c.t_star[n - 1]), int(c.t01[n - 1]), int(c.t_star[n]))
     return SufficientStats(_moment(xm0), _moment(xm1), _moment(both), rhs, counts)
@@ -181,16 +219,18 @@ def residual_noise_estimates(
     flagged instead of raising, so callers can still emit a report.
     """
     a, b, c, d = np.asarray(theta, dtype=float)
+    x = values.observed(tree)
     n = tree.depth
-    (xm0, x0), (xm1, x1) = _daughters(values, tree)
+    (xm0, x0), (xm1, x1) = _daughters(x, tree)
     e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
     cnt = tree.counts()
     sigma2_hat = float((e0 * e0).sum() + (e1 * e1).sum()) / int(cnt.t_star[n])
     t01 = int(cnt.t01[n - 1])
     if t01 == 0:
         return NoiseEstimate(sigma2_hat, 0.0, no_sister_pairs=True)
-    m, x = tree.pair_mothers(), values.x
-    cross = (x[2 * m] - a - b * x[m]) * (x[2 * m + 1] - c - d * x[m])
+    p = tree.pair_positions()
+    xm = x[tree.mother_positions()[p - 1]]
+    cross = (x[p] - a - b * xm) * (x[p + 1] - c - d * xm)
     rho_hat = float(cross.sum()) / t01
     return NoiseEstimate(sigma2_hat, rho_hat)
 

@@ -182,8 +182,11 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_batch(args) -> int:
     name = _TEST_ALIASES[args.which]
+    directory = Path(args.directory)
+    if not directory.is_dir():
+        raise BarLineageError(f"{directory}: not a directory")
     lines = ["file,test,p_value"]
-    for path in sorted(Path(args.directory).glob("*.csv")):
+    for path in sorted(directory.glob("*.csv")):
         try:
             tree, values = ingest(path)
         except (BarLineageError, OSError) as exc:
@@ -203,6 +206,13 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
+# the keys _build_mc_config reads
+_CONFIG_KEYS = (
+    "which_test", "gw_null_law0", "gw_null_law1", "gw_alt_law0", "gw_alt_law1",
+    "bar_null", "bar_alt", "generations", "replicas", "thresholds", "master_seed",
+)
+
+
 def _config_from_file(path: str) -> dict:
     """Flat key=value file mirroring McConfig (laws/models as comma lists)."""
     raw = {}
@@ -212,8 +222,10 @@ def _config_from_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise BarLineageError(f"{path}:{line_no}: expected key=value")
-        key, val = line.split("=", 1)
-        raw[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise BarLineageError(f"{path}:{line_no}: unknown key {key!r}")
+        raw[key] = val
     return raw
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .numerics import VARIANCE_FLOOR, chi2_sf
 from .report import TestReport
-from .tree import ObservationTree
+from .tree import ObservationTree, check_depth
 
 _SUM_TOL = 1e-12
 
@@ -98,6 +98,7 @@ def simulate_observation_tree(
     One uniform is consumed per cell of each generation (observed or
     not) so the stream layout depends only on ``depth``.
     """
+    check_depth(depth)
     delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
     delta[1] = 1
     cum0 = np.cumsum(model.law0.as_array())
@@ -114,7 +115,7 @@ def simulate_observation_tree(
         # outcome index -> (j0, j1): 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1)
         delta[2 * mothers] = obs & ((out == 1) | (out == 3))
         delta[2 * mothers + 1] = obs & (out >= 2)
-    return ObservationTree(depth, delta)
+    return ObservationTree(depth, np.flatnonzero(delta))
 
 
 @dataclass(frozen=True)
@@ -140,20 +141,22 @@ def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
 
     Mothers-of-record are the observed cells of generations 1 .. n-1;
     their daughter pair lands in the deepest generation at most.  The
-    outcome code delta[2m] + 2 * delta[2m+1] of mother m indexes the
-    order (0,0), (1,0), (0,1), (1,1) within her type's block.
+    outcome code [2m observed] + 2 * [2m+1 observed] of mother m indexes
+    the order (0,0), (1,0), (0,1), (1,1) within her type's block.
     """
-    n, delta = tree.depth, tree.delta
+    n = tree.depth
     if n < 2:
         raise InsufficientData("estimating reproduction laws needs depth >= 2")
-    labels = tree.observed_indices()
-    m = labels[1 : np.searchsorted(labels, 1 << n)]  # skip the root
-    code = 4 * (m & 1) + delta[2 * m] + 2 * delta[2 * m + 1]
+    labels, c = tree.observed_indices(), tree.counts()
+    t_star = int(c.t_star[n - 1])  # cells of generations 0 .. n-1
+    # each observed daughter adds 1 (even) or 2 (odd) to her mother's code
+    outcome = np.bincount(tree.mother_positions(), weights=1 + (labels[1:] & 1),
+                          minlength=labels.size)
+    m = labels[1:t_star]  # skip the root
+    code = 4 * (m & 1) + outcome[1:t_star].astype(np.int64)
     block = np.bincount(code, minlength=8).reshape(2, 4)
     counts = block.sum(axis=1)
     phat = (block / np.maximum(counts, 1)[:, None]).ravel()
-    c = tree.counts()
-    t_star = int(c.t_star[n - 1])
     zsum = c.z[1:n].sum(axis=0)  # generations 1 .. n-1
     zhat = (zsum[0] / t_star, zsum[1] / t_star)
     return ReproductionEstimate(phat, (int(counts[0]), int(counts[1])), zhat, t_star)

@@ -2,8 +2,9 @@
 
 A cell is observed iff its label appears in the file; missingness is
 absence.  Lines starting with ``#`` are comments (the simulator records
-its parameters there).  Unlisted cells get X = 0.0, a sentinel the
-estimators never read because every term carries the presence bit.
+its parameters there).  A file becomes the ascending array of its
+labels and one trait array aligned with it, so reading it costs memory
+in proportion to its rows, whatever its depth.
 """
 
 from __future__ import annotations
@@ -42,21 +43,18 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
         raise bad_comment
     if not body:
         raise ParseError(0, "empty file")
-    # guards the max() below as well as the tree invariant
-    if labels.size == 0 or labels.min() != 1:
+    if labels.size == 0 or labels[0] != 1:
         raise MissingRoot()
-    deepest = int(labels.max())
+    deepest = int(labels[-1])
     if generation(deepest) > MAX_DEPTH:
         raise IndexOutOfRange(deepest)
     # the simulator records "# depth=N"; honoring it keeps the round trip
     # exact when the deepest generation died out
     depth = max(generation(deepest), depth_hint, 1)
-    # from_indices rejects a depth above MAX_DEPTH and reports the
-    # smallest orphan label, if any
-    tree = ObservationTree.from_indices(depth, labels)
-    x = np.zeros(1 << (depth + 1))
-    x[labels] = x_obs
-    return tree, ValueTree(depth, x)
+    # the tree rejects a depth above MAX_DEPTH and reports the smallest
+    # orphan label, if any
+    tree = ObservationTree(depth, labels)
+    return tree, ValueTree(depth, x_obs, tree.observed_indices())
 
 
 def _read_text(path) -> str:
@@ -84,7 +82,7 @@ def _depth_hint(lines: list[str]) -> tuple[int, ParseError | None]:
 
 
 def _parse_rows(rows: list[str], line_idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and values of the stripped data rows, in file order.
+    """Labels of the stripped data rows, ascending, and their values.
 
     The checks run in the order one row meets them.  A check that fails
     keeps its error and leaves only the rows above the offending one to
@@ -134,15 +132,13 @@ def _parse_rows(rows: list[str], line_idx: list[int]) -> tuple[np.ndarray, np.nd
         error = DuplicateIndex(line_idx[n] + 1, ks[n])
     if error is not None:
         raise error
-    return labels, x_obs
+    return ranked, x_obs[order]
 
 
 def emit_lineage(tree: ObservationTree, values: ValueTree, params: dict | None = None) -> str:
     """Render observed cells as a lineage file (17 significant digits)."""
-    lines = []
-    for key, val in (params or {}).items():
-        lines.append(f"# {key}={val}")
+    lines = [f"# {key}={val}" for key, val in (params or {}).items()]
     lines.append(HEADER)
-    for k in tree.observed_indices():
-        lines.append(f"{k},{values.x[k]:.17g}")
+    traits = values.observed(tree).tolist()
+    lines += [f"{k},{v:.17g}" for k, v in zip(tree.observed_indices().tolist(), traits)]
     return "\n".join(lines) + "\n"

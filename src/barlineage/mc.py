@@ -25,6 +25,7 @@ from . import bar, gw
 from .errors import StatError, TooManyDiscards
 from .numerics import replica_stream
 from .report import TestReport
+from .tree import MAX_DEPTH
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -66,8 +67,9 @@ class McConfig:
             raise ValueError("replicas must be >= 1")
         if any(not 0.0 < t < 1.0 for t in self.thresholds):
             raise ValueError("thresholds must lie in (0, 1)")
-        if list(self.generations) != sorted(self.generations):
-            raise ValueError("generations must be sorted ascending")
+        gens = list(self.generations)
+        if gens != sorted(set(gens)) or not all(1 <= g <= MAX_DEPTH for g in gens):
+            raise ValueError(f"generations must be strictly ascending within 1..{MAX_DEPTH}")
         if self.which_test != "gw_mean" and self.bar_null is None:
             raise ValueError(f"{self.which_test} needs bar_null")
 

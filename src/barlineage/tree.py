@@ -1,19 +1,20 @@
-"""Flat-array bookkeeping for binary cell-lineage trees.
+"""Label bookkeeping for binary cell-lineage trees.
 
 Cells are labelled 1, 2, 3, ... with the two daughters of cell k at 2k
 (type 0, "even") and 2k+1 (type 1, "odd"); the mother of k >= 2 is
-k // 2.  Generation g is the contiguous label slice [2**g, 2**(g+1)),
-so everything here is plain index arithmetic on flat numpy arrays with
-entry 0 unused.
+k // 2.  Generation g is the label range [2**g, 2**(g+1)).
 
-An ObservationTree finds its observed labels, its observed sister pairs
-and its ObservedCounts once, at construction; the estimators sum over
-those observed cells only.
+An ObservationTree is the ascending array of its observed labels.  At
+construction it finds, once, where each observed cell's mother sits in
+that array, where its observed sister pairs sit, and its
+ObservedCounts; the estimators gather through those positions, so
+nothing here grows with 2**depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,12 @@ from .errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
 MAX_DEPTH = 30
 
 
+def check_depth(depth: int) -> None:
+    """Raise DepthError unless 1 <= depth <= MAX_DEPTH."""
+    if not (1 <= depth <= MAX_DEPTH):
+        raise DepthError(depth, MAX_DEPTH)
+
+
 def generation(k: int) -> int:
     """Generation of cell k, i.e. floor(log2 k)."""
     if k < 1:
@@ -30,9 +37,12 @@ def generation(k: int) -> int:
     return int(k).bit_length() - 1
 
 
-def gen_slice(g: int) -> slice:
-    """Slice of a flat 1-based cell array covering generation g."""
-    return slice(1 << g, 1 << (g + 1))
+def mirror(labels: np.ndarray) -> np.ndarray:
+    """Each label's place in the mirrored tree: every binary digit below
+    the leading one flipped (mirror(2k) = 2*mirror(k)+1), which reverses
+    each generation."""
+    gen = (np.frexp(labels)[1] - 1).astype(np.int64)  # exact for k < 2**53
+    return labels ^ ((1 << gen) - 1)
 
 
 @dataclass(frozen=True)
@@ -62,102 +72,118 @@ class ObservedCounts:
 
 @dataclass(frozen=True, eq=False)
 class ObservationTree:
-    """Presence bits delta[k] over a fixed-depth binary tree.
+    """The observed cells of a fixed-depth binary tree, as ascending labels.
 
-    Invariants (checked at construction): every entry is 0 or 1,
-    delta[1] == 1, and no observed cell has an unobserved mother.
-    Construction also finds the sorted observed labels, the mothers of
-    observed sister pairs and the ObservedCounts, once; the methods
-    below return them, read-only.
+    Invariants (checked at construction): the labels are strictly
+    ascending and lie in [1, 2^(depth+1)), the root 1 is observed, and
+    no observed cell has an unobserved mother.  Construction also finds
+    each non-root cell's mother position, the sister-pair positions and
+    the ObservedCounts, once; the methods below return them, read-only.
     """
 
     depth: int
-    delta: np.ndarray = field(repr=False)
-    _labels: np.ndarray = field(init=False, repr=False)
-    _pair_mothers: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(repr=False)
+    _mothers: np.ndarray = field(init=False, repr=False)
+    _pairs: np.ndarray = field(init=False, repr=False)
     _counts: ObservedCounts = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.depth
-        if not (1 <= n <= MAX_DEPTH):
-            raise DepthError(n, MAX_DEPTH)
-        delta = np.ascontiguousarray(self.delta, dtype=np.uint8)
-        if delta.shape != (1 << (n + 1),):
-            raise ValueError(f"delta must have length 2^(depth+1) = {1 << (n + 1)}")
-        if delta.max() > 1:
-            raise ValueError("delta entries must be 0 or 1")
-        object.__setattr__(self, "delta", delta)
-        if delta[1] != 1:
+        check_depth(n)
+        labels = np.array(self.labels, dtype=np.int64)  # a private copy
+        if labels.ndim != 1:
+            raise ValueError("labels must be a 1-d array")
+        if labels.size and not 1 <= labels[0] <= labels[-1] < 1 << (n + 1):
+            raise IndexOutOfRange(int(labels[0] if labels[0] < 1 else labels[-1]))
+        if not labels.size or labels[0] != 1:
             raise MissingRoot()
-        labels = np.flatnonzero(delta[1:]) + 1
-        # an observed cell whose mother is missing
-        kids = labels[1:]
-        bad = kids[delta[kids >> 1] == 0]
+        first, kids = labels[:-1], labels[1:]
+        if not (kids > first).all():
+            raise ValueError("labels must be strictly ascending")
+        # a cell's mother is the observed label k >> 1, if there is one
+        up = kids >> 1
+        mothers = np.searchsorted(labels, up)
+        bad = kids[labels[mothers] != up]
         if bad.size:
             raise OrphanCell(int(bad[0]))
         gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
         # sister when both are observed
-        first = labels[:-1]
-        pair = ((first & 1) == 0) & (labels[1:] == first + 1)
+        pairs = np.flatnonzero(((first & 1) == 0) & (kids == first + 1))
         z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
-        t01 = np.cumsum(np.bincount(gen[:-1][pair] - 1, minlength=n + 1))
+        t01 = np.cumsum(np.bincount(gen[pairs] - 1, minlength=n + 1))
         g_star = z.sum(axis=1)
         counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)
-        pair_mothers = first[pair] >> 1
         # every caller shares these arrays
-        for arr in (labels, pair_mothers, z, g_star, counts.t_star, t01):
+        for arr in (labels, mothers, pairs, z, g_star, counts.t_star, t01):
             arr.flags.writeable = False
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_pair_mothers", pair_mothers)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_mothers", mothers)
+        object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, ObservationTree):
             return NotImplemented
-        return self.depth == other.depth and np.array_equal(self.delta, other.delta)
+        return self.depth == other.depth and np.array_equal(self.labels, other.labels)
 
     def __hash__(self):
-        return hash((self.depth, self.delta.tobytes()))
+        return hash((self.depth, self.labels.tobytes()))
 
     @classmethod
     def from_indices(cls, depth: int, observed) -> "ObservationTree":
-        if not (1 <= depth <= MAX_DEPTH):
-            raise DepthError(depth, MAX_DEPTH)
+        """The tree of the given labels, in any order; repeats count once."""
+        check_depth(depth)
         if isinstance(observed, np.ndarray):
-            labels = observed.astype(np.int64, copy=False)
+            labels = np.sort(observed.astype(np.int64))
         else:
-            labels = np.fromiter(observed, dtype=np.int64)
-        delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
-        bad = labels[(labels < 1) | (labels >= delta.size)]
-        if bad.size:
-            raise IndexOutOfRange(int(bad[0]))
-        delta[labels] = 1
-        return cls(depth, delta)
+            labels = np.sort(np.fromiter(observed, dtype=np.int64))
+        first = np.ones(labels.size, dtype=bool)  # a repeat is not the first of its run
+        first[1:] = labels[1:] != labels[:-1]
+        return cls(depth, labels[first])
+
+    @property
+    def delta(self) -> np.ndarray:
+        """Presence bits over all 2^(depth+1) labels (entry 0 unused).
+
+        A dense view built on every access, for inspection; nothing in
+        the library reads it.
+        """
+        delta = np.zeros(1 << (self.depth + 1), dtype=np.uint8)
+        delta[self.labels] = 1
+        return delta
 
     def observed_indices(self) -> np.ndarray:
         """Labels of the observed cells, ascending (the root first)."""
-        return self._labels
+        return self.labels
 
-    def pair_mothers(self) -> np.ndarray:
-        """Labels of the mothers whose two daughters are both observed, ascending."""
-        return self._pair_mothers
+    def mother_positions(self) -> np.ndarray:
+        """Position in ``observed_indices()`` of the mother of each
+        non-root observed cell, aligned with ``observed_indices()[1:]``."""
+        return self._mothers
+
+    def pair_positions(self) -> np.ndarray:
+        """Position in ``observed_indices()`` of the even daughter of each
+        observed sister pair, ascending; her sister sits one further on."""
+        return self._pairs
+
+    @cached_property
+    def _by_type(self) -> tuple:
+        odd = (self.labels[1:] & 1).astype(bool)
+        out = tuple((self._mothers[k], k + 1) for k in (np.flatnonzero(~odd), np.flatnonzero(odd)))
+        for arr in (a for pair in out for a in pair):
+            arr.flags.writeable = False
+        return out
+
+    def daughter_positions(self) -> tuple:
+        """((mothers, daughters) of type 0, (mothers, daughters) of type 1):
+        the observed daughters of each type and their mothers, as
+        positions in ``observed_indices()``.  Found on first use."""
+        return self._by_type
 
     def counts(self) -> ObservedCounts:
         return self._counts
 
     def reflect(self) -> "ObservationTree":
         """Swap every sibling pair recursively (mirror the tree)."""
-        return ObservationTree(self.depth, _reflect_array(self.delta, self.depth))
-
-
-def _reflect_array(arr: np.ndarray, depth: int) -> np.ndarray:
-    """Mirror the tree: map entry k to the label with every non-leading
-    binary digit flipped (mirror(2k) = 2*mirror(k)+1), which reverses
-    each generation's slice.
-    """
-    out = np.empty_like(arr)
-    out[0] = arr[0]
-    for g in range(depth + 1):
-        out[gen_slice(g)] = arr[gen_slice(g)][::-1]
-    return out
+        return ObservationTree(self.depth, np.sort(mirror(self.labels)))

@@ -1,8 +1,14 @@
-"""Shared fixtures and independent brute-force reference implementations.
+"""Shared fixtures and independent reference implementations.
 
 The brute-force functions below deliberately use plain Python loops and
 per-cell index arithmetic (2k, 2k+1, k // 2) so they share no code path
 with the vectorized library implementations they are checked against.
+They read a tree through its dense view: presence bits and traits over
+all 2^(depth+1) labels.
+
+The dense_* functions are the earlier array implementation, which kept
+every tree as such dense arrays; the label-based library must agree
+with them bit for bit.
 """
 
 import math
@@ -17,22 +23,47 @@ from barlineage.lineage_io import HEADER
 from barlineage.tree import MAX_DEPTH, generation
 
 
+# ------------------------------------------------------------- dense views
+
+def dense_delta(tree):
+    """Presence bits of every label 0 .. 2^(depth+1) - 1 (entry 0 unused)."""
+    delta = np.zeros(2 ** (tree.depth + 1), dtype=np.uint8)
+    for k in tree.observed_indices().tolist():
+        delta[k] = 1
+    return delta
+
+
+def dense_x(values):
+    """Traits of every label 0 .. 2^(depth+1) - 1, 0.0 where none is given."""
+    if values.labels is None:
+        return values.x
+    x = np.zeros(2 ** (values.depth + 1))
+    for k, v in zip(values.labels.tolist(), values.x.tolist()):
+        x[k] = v
+    return x
+
+
+def tree_of(depth, delta):
+    """The observation tree whose presence bits are ``delta``."""
+    return ObservationTree.from_indices(depth, np.flatnonzero(delta))
+
+
 # ---------------------------------------------------------------- oracles
 
 def brute_counts(tree):
     """Per-generation observed counts by direct iteration over labels."""
-    n = tree.depth
+    n, delta = tree.depth, dense_delta(tree)
     z = [[0, 0] for _ in range(n + 1)]
     z[0][1] = 1
     for g in range(1, n + 1):
         for k in range(2 ** g, 2 ** (g + 1)):
-            if tree.delta[k]:
+            if delta[k]:
                 z[g][k % 2] += 1
     t01 = []
     both = 0
     for g in range(n + 1):
         for k in range(2 ** g, 2 ** (g + 1)):
-            if 2 * k + 1 < len(tree.delta) and tree.delta[2 * k] and tree.delta[2 * k + 1]:
+            if 2 * k + 1 < len(delta) and delta[2 * k] and delta[2 * k + 1]:
                 both += 1
         t01.append(both)
     return z, t01
@@ -40,7 +71,7 @@ def brute_counts(tree):
 
 def brute_reproduction(tree):
     """Reproduction probability estimates by explicit summation."""
-    n = tree.depth
+    n, delta = tree.depth, dense_delta(tree)
     phat = np.zeros(8)
     counts = [0, 0]
     for i in (0, 1):
@@ -48,9 +79,9 @@ def brute_reproduction(tree):
         den = 0
         for k in range(1, 2 ** (n - 1)):  # sub-tree up to generation n-2
             m = 2 * k + i
-            if tree.delta[m]:
+            if delta[m]:
                 den += 1
-                num[(int(tree.delta[2 * m]), int(tree.delta[2 * m + 1]))] += 1
+                num[(int(delta[2 * m]), int(delta[2 * m + 1]))] += 1
         counts[i] = den
         if den:
             phat[4 * i + 0] = num[(0, 0)] / den
@@ -62,39 +93,39 @@ def brute_reproduction(tree):
 
 def brute_sufficient_stats(values, tree):
     """Design sums by explicit per-mother accumulation."""
-    n = tree.depth
+    n, delta, x = tree.depth, dense_delta(tree), dense_x(values)
     s0 = np.zeros((2, 2))
     s1 = np.zeros((2, 2))
     s01 = np.zeros((2, 2))
     rhs = np.zeros(4)
     for k in range(1, 2 ** n):
-        xk = values.x[k]
+        xk = x[k]
         mm = np.array([[1.0, xk], [xk, xk * xk]])
-        d0, d1 = int(tree.delta[2 * k]), int(tree.delta[2 * k + 1])
+        d0, d1 = int(delta[2 * k]), int(delta[2 * k + 1])
         s0 += d0 * mm
         s1 += d1 * mm
         s01 += d0 * d1 * mm
-        rhs[0] += d0 * values.x[2 * k]
-        rhs[1] += d0 * xk * values.x[2 * k]
-        rhs[2] += d1 * values.x[2 * k + 1]
-        rhs[3] += d1 * xk * values.x[2 * k + 1]
+        rhs[0] += d0 * x[2 * k]
+        rhs[1] += d0 * xk * x[2 * k]
+        rhs[2] += d1 * x[2 * k + 1]
+        rhs[3] += d1 * xk * x[2 * k + 1]
     return s0, s1, s01, rhs
 
 
 def brute_noise(values, tree, theta):
     """Residual variance / sister covariance by explicit loops."""
     a, b, c, d = theta
-    n = tree.depth
+    n, delta, x = tree.depth, dense_delta(tree), dense_x(values)
     sum_sq = 0.0
     sum_cross = 0.0
     n_pairs = 0
-    n_tn = sum(int(tree.delta[k]) for k in range(1, 2 ** (n + 1)))
+    n_tn = sum(int(delta[k]) for k in range(1, 2 ** (n + 1)))
     for k in range(1, 2 ** n):
-        e0 = tree.delta[2 * k] * (values.x[2 * k] - a - b * values.x[k])
-        e1 = tree.delta[2 * k + 1] * (values.x[2 * k + 1] - c - d * values.x[k])
+        e0 = delta[2 * k] * (x[2 * k] - a - b * x[k])
+        e1 = delta[2 * k + 1] * (x[2 * k + 1] - c - d * x[k])
         sum_sq += e0 * e0 + e1 * e1
         sum_cross += e0 * e1
-        if tree.delta[2 * k] and tree.delta[2 * k + 1]:
+        if delta[2 * k] and delta[2 * k + 1]:
             n_pairs += 1
     rho = sum_cross / n_pairs if n_pairs else 0.0
     return sum_sq / n_tn, rho, n_pairs
@@ -106,6 +137,81 @@ def brute_sandwich(s0, s1, s01, t_star, sigma2, rho):
     gamma = np.block([[sigma2 * s0, rho * s01], [rho * s01, sigma2 * s1]]) / t_star
     si = np.linalg.inv(sigma)
     return (t_star * si) @ gamma @ (t_star * si)
+
+
+# ------------------------------------------- the earlier dense arrays
+
+def dense_tree(depth, delta):
+    """(labels, sister-pair mothers, (z, g_star, t_star, t01)) read off
+    presence bits, as the dense tree found them at construction."""
+    n = depth
+    labels = np.flatnonzero(delta[1:]) + 1
+    gen = np.frexp(labels)[1] - 1
+    first = labels[:-1]
+    pair = ((first & 1) == 0) & (labels[1:] == first + 1)
+    z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
+    t01 = np.cumsum(np.bincount(gen[:-1][pair] - 1, minlength=n + 1))
+    g_star = z.sum(axis=1)
+    return labels, first[pair] >> 1, (z, g_star, np.cumsum(g_star), t01)
+
+
+def dense_reproduction(depth, delta):
+    """(phat, mother counts, zhat, t_star), each mother's outcome code
+    read off the presence bits of her daughters."""
+    n = depth
+    labels, _, (z, _, t_star, _) = dense_tree(depth, delta)
+    m = labels[1 : np.searchsorted(labels, 1 << n)]
+    code = 4 * (m & 1) + delta[2 * m] + 2 * delta[2 * m + 1]
+    block = np.bincount(code, minlength=8).reshape(2, 4)
+    counts = block.sum(axis=1)
+    phat = (block / np.maximum(counts, 1)[:, None]).ravel()
+    t = int(t_star[n - 1])
+    zsum = z[1:n].sum(axis=0)
+    return phat, (int(counts[0]), int(counts[1])), (zsum[0] / t, zsum[1] / t), t
+
+
+def _dense_daughters(labels, x):
+    kids = labels[1:]
+    odd = (kids & 1).astype(bool)
+    return [(x[k >> 1], x[k]) for k in (kids[~odd], kids[odd])]
+
+
+def _dense_moment(xm):
+    sx, sxx = xm.sum(), (xm * xm).sum()
+    return np.array([[xm.size, sx], [sx, sxx]], dtype=float)
+
+
+def dense_sufficient_stats(depth, delta, x):
+    """(s0, s1, s01, rhs, counts) gathered from traits of every label."""
+    labels, pair_mothers, (_, _, t_star, t01) = dense_tree(depth, delta)
+    (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
+    rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
+    counts = (int(t_star[depth - 1]), int(t01[depth - 1]), int(t_star[depth]))
+    both = _dense_moment(x[pair_mothers])
+    return _dense_moment(xm0), _dense_moment(xm1), both, rhs, counts
+
+
+def dense_noise(depth, delta, x, theta):
+    """(sigma2_hat, rho_hat) from traits of every label; rho_hat is 0.0
+    when no sister pair is observed."""
+    a, b, c, d = np.asarray(theta, dtype=float)
+    labels, m, (_, _, t_star, t01) = dense_tree(depth, delta)
+    (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
+    e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
+    sigma2 = float((e0 * e0).sum() + (e1 * e1).sum()) / int(t_star[depth])
+    if t01[depth - 1] == 0:
+        return sigma2, 0.0
+    cross = (x[2 * m] - a - b * x[m]) * (x[2 * m + 1] - c - d * x[m])
+    return sigma2, float(cross.sum()) / int(t01[depth - 1])
+
+
+def dense_reflect(arr, depth):
+    """A dense array of the mirrored tree: each generation's slice reversed."""
+    out = np.empty_like(arr)
+    out[0] = arr[0]
+    for g in range(depth + 1):
+        out[2 ** g : 2 ** (g + 1)] = arr[2 ** g : 2 ** (g + 1)][::-1]
+    return out
 
 
 def brute_simulate_bar_values(model, depth, x1, rng):
@@ -199,7 +305,7 @@ def random_tree(depth, rng, p_obs=0.8):
         if delta[k]:
             delta[2 * k] = rng.random() < p_obs
             delta[2 * k + 1] = rng.random() < p_obs
-    return ObservationTree(depth, delta)
+    return tree_of(depth, delta)
 
 
 def random_values(depth, rng):
@@ -216,7 +322,23 @@ def observation_trees(draw, min_depth=2, max_depth=5):
         if delta[k]:
             delta[2 * k] = draw(st.booleans())
             delta[2 * k + 1] = draw(st.booleans())
-    return ObservationTree(depth, delta)
+    return tree_of(depth, delta)
+
+
+@st.composite
+def presence_arrays(draw, min_depth=1, max_depth=12):
+    """Hypothesis strategy for (depth, presence bits) of valid trees,
+    each daughter kept w.p. p_obs given her mother is."""
+    depth = draw(st.integers(min_depth, max_depth))
+    p_obs = draw(st.sampled_from([0.3, 0.55, 0.7, 0.85, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta = np.zeros(2 ** (depth + 1), dtype=np.uint8)
+    delta[1] = 1
+    for g in range(depth):
+        mothers = delta[2 ** g : 2 ** (g + 1)]
+        keep = rng.random(2 ** (g + 1)) < p_obs
+        delta[2 ** (g + 1) : 2 ** (g + 2)] = np.repeat(mothers, 2) & keep
+    return depth, delta
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from barlineage import (
     sufficient_stats,
 )
 from barlineage.bar import BarEstimate, SufficientStats
-from barlineage.errors import DegenerateVariance, NearUnitRoot, SingularDesign
+from barlineage.errors import DegenerateVariance, DepthError, NearUnitRoot, SingularDesign
 
 from conftest import (
     brute_noise,
@@ -69,6 +69,12 @@ class TestSimulateBarValues:
         k = np.arange(1, 1 << 6)
         assert np.array_equal(v.x[2 * k], v.x[2 * k + 1])
 
+    @pytest.mark.parametrize("depth", [0, 40])
+    def test_depth_outside_range_raises_before_allocating(self, depth):
+        # a depth-40 trait array would take 16 TiB
+        with pytest.raises(DepthError):
+            simulate_bar_values(ZERO_NOISE, depth, 1.0, replica_stream(0))
+
     def test_deterministic_under_fixed_seed(self):
         m = BarModel(0.5, 0.5, 0.5, 0.4, 1.0, 0.5)
         a = simulate_bar_values(m, 5, 1.0, replica_stream(9, 1))
@@ -102,6 +108,21 @@ class TestSimulateBarValues:
             means.append(v.x[1 << 11 :].mean())
         se = np.std(means) / np.sqrt(len(means))
         assert abs(np.mean(means) - 1.0) <= 3 * se + 1e-12
+
+
+class TestValueTree:
+    def test_listed_traits_follow_the_tree(self):
+        tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
+        v = ValueTree(2, np.array([1.0, 2.0, 3.0, 4.0, 6.0, 7.0]), np.array([1, 2, 3, 4, 6, 7]))
+        assert v.observed(tree).tolist() == [1.0, 2.0, 3.0, 6.0, 7.0]
+        with pytest.raises(ValueError, match="no trait for observed cell 6"):
+            ValueTree(2, np.array([1.0, 2.0, 3.0]), np.array([1, 2, 3])).observed(tree)
+        with pytest.raises(ValueError, match="no trait for observed cell 7"):
+            ValueTree(2, np.arange(1.0, 7.0), np.arange(1, 7)).observed(tree)
+
+    def test_labels_must_ascend(self):
+        with pytest.raises(ValueError, match="ascending"):
+            ValueTree(1, np.zeros(3), np.array([1, 3, 2]))
 
 
 class TestSufficientStats:

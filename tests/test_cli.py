@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +59,9 @@ def lineage_texts(draw):
     and up to two of DEFECTS."""
     tree = draw(observation_trees(min_depth=1, max_depth=5))
     labels = tree.observed_indices()
-    x = np.zeros(tree.delta.size)
-    x[labels] = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                              min_size=labels.size, max_size=labels.size))
-    rows = emit_lineage(tree, ValueTree(tree.depth, x)).splitlines()[1:]
+    x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=labels.size, max_size=labels.size))
+    rows = emit_lineage(tree, ValueTree(tree.depth, x, labels)).splitlines()[1:]
     header, extra = "index,value", []
     for kind in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
         if not rows:  # the root was the only row, and it is gone
@@ -102,27 +105,29 @@ def lineage_texts(draw):
 
 
 def _outcome(read, path):
-    """What reading a lineage file gives: the tree and the values as
+    """What reading a lineage file gives: the labels and their traits as
     bytes, or the error's class, line and message."""
     try:
         tree, values = read(path)
     except BarLineageError as exc:
         return type(exc), getattr(exc, "line_no", None), str(exc)
-    return tree.depth, tree.delta.tobytes(), values.x.tobytes()
+    labels = tree.observed_indices()
+    return tree.depth, labels.tobytes(), values.observed(tree).tobytes()
 
 
 class TestIngest:
     def test_small_file(self, tmp_path):
         tree, values = ingest(write(tmp_path, GOOD))
         assert tree.depth == 2
-        assert sorted(tree.observed_indices().tolist()) == [1, 2, 3, 6, 7]
-        assert values.x[1] == 0.5 and values.x[7] == 0.75
-        assert values.x[4] == 0.0  # unlisted cells carry the sentinel
+        assert tree.observed_indices().tolist() == [1, 2, 3, 6, 7]
+        # one trait per listed cell, in label order; unlisted cells have none
+        assert values.labels is tree.observed_indices()
+        assert values.x.tolist() == [0.5, 1.0, -0.25, 2.0, 0.75]
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# produced by hand\n\nindex,value\n# root\n1,1.0\n"
         tree, values = ingest(write(tmp_path, text))
-        assert tree.depth == 1 and values.x[1] == 1.0
+        assert tree.depth == 1 and values.observed(tree).tolist() == [1.0]
 
     def test_depth_hint_extends_tree(self, tmp_path):
         text = "# depth=4\nindex,value\n1,1.0\n"
@@ -187,8 +192,8 @@ class TestIngest:
         rows = ["index,value"] + [f"{k},{rng.normal():.17g}" for k in range(1, 128)]
         tree, values = ingest(write(tmp_path, "\n".join(rows) + "\n"))
         assert tree.depth == 6
-        assert tree.delta[1:].all()
-        assert len(values.x) == 128
+        assert tree.observed_indices().tolist() == list(range(1, 128))
+        assert len(values.x) == 127
 
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -244,8 +249,7 @@ class TestEmitLineage:
         text = emit_lineage(tree, ValueTree(2, x), {"depth": 2})
         tree2, values2 = ingest(write(tmp_path, text))
         assert tree2 == tree
-        assert np.array_equal(values2.x[tree.delta.astype(bool)],
-                              x[tree.delta.astype(bool)])
+        assert values2.observed(tree2).tobytes() == x[[1, 2, 3, 6, 7]].tobytes()
 
     def test_params_become_comments(self):
         tree = ObservationTree.from_indices(1, {1})
@@ -273,13 +277,41 @@ class TestSimulate:
         out = tmp_path / "sim.csv"
         main(["simulate", "--depth", "3", "--seed", "0", "--out", str(out),
               "--c", "0.5", "--d", "0.4"])
-        _, values = ingest(out)
-        assert values.x[1] == pytest.approx(0.5 / 0.6)
+        tree, values = ingest(out)
+        assert values.observed(tree)[0] == pytest.approx(0.5 / 0.6)
+
+    def test_depth_beyond_max_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--depth", "35", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: depth 35 outside supported range [1, 30]\n"
+        assert not out.exists()
 
     def test_bad_law_is_usage_error(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--depth", "3", "--out", str(out),
                      "--law0", "0.5,0.5"]) == 1
+
+
+def chain_file(tmp_path, depth):
+    """One branch of alternating even and odd daughters down to ``depth``:
+    depth + 1 rows, the deepest label near 2^(depth+1)."""
+    rng = np.random.default_rng(depth)
+    k, rows = 1, ["index,value", f"1,{rng.normal()!r}"]
+    for g in range(depth):
+        k = 2 * k + g % 2
+        rows.append(f"{k},{rng.normal()!r}")
+    return write(tmp_path, "\n".join(rows) + "\n", name=f"chain{depth}.csv")
+
+
+# peak resident memory of one `barlineage estimate` in a fresh interpreter
+_PEAK_RSS = """
+import sys
+from barlineage.cli import main
+code = main(["estimate", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
+"""
 
 
 def simulate_fixture(tmp_path, name="sim.csv", depth=7, seed=4, extra=()):
@@ -325,6 +357,32 @@ class TestEstimate:
         assert len(out["gw"]["phat"]) == 8
         assert out["bar"]["error"] == "SingularDesign"
         assert "type 1" in out["bar"]["detail"]
+
+    def test_depth30_chain(self, tmp_path, capsys):
+        path = chain_file(tmp_path, 30)
+        assert main(["estimate", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["depth"] == 30 and out["n_observed"] == 31
+        assert out["gw"]["mother_counts"] == [15, 14]
+        assert out["bar"]["warnings"] == ["no_sister_pairs"]
+        # every mother of record has one daughter: the mean difference is
+        # estimated without variance
+        assert main(["test", str(path), "--which", "gw"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "DegenerateVariance"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_memory_does_not_grow_with_depth(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        peaks = {}
+        for depth in (10, 30):
+            run = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS, str(chain_file(tmp_path, depth))],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            code, peaks[depth] = map(int, run.stderr.split()[-2:])
+            assert code == 0
+        assert abs(peaks[30] - peaks[10]) < 2048  # kB
 
     def test_depth_one_has_no_gw_block(self, tmp_path, capsys):
         path = write(tmp_path, "index,value\n1,1.0\n2,0.5\n3,0.25\n")
@@ -397,6 +455,16 @@ class TestBatch:
         assert "broken.csv" in captured.err
         shallow = tmp_path / "shallow.csv"
         assert f"{shallow}: skipped, depth 2 < --min-generations 3" in captured.err.splitlines()
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_not_a_directory_is_usage_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "nonexistent"
+        if kind == "file":
+            path = simulate_fixture(tmp_path, "a.csv", depth=7, seed=1)
+        assert main(["batch", str(path), "--which", "fixed"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not a directory\n"
 
     def test_unreadable_files_do_not_stop_the_batch(self, tmp_path, capsys):
         simulate_fixture(tmp_path, "a.csv", depth=7, seed=1)
@@ -497,6 +565,13 @@ class TestMcCommand:
         assert main(["mc", "--config", str(cfg), "--replicas", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert all(int(ln.split(",")[4]) <= 5 for ln in lines[1:])
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "# tiny run\nreplicas = 5\nreplica=5\n", name="mc.cfg")
+        assert main(["mc", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: unknown key 'replica'\n"
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = write(tmp_path, "just words\n", name="mc.cfg")

@@ -18,6 +18,7 @@ from barlineage import (
 from barlineage.errors import (
     DegenerateTypeProportion,
     DegenerateVariance,
+    DepthError,
     InsufficientData,
     NotPositive,
 )
@@ -80,7 +81,7 @@ class TestSimulateObservationTree:
     def test_deterministic_full_law_gives_complete_tree(self):
         model = GwModel(ALWAYS_BOTH, ALWAYS_BOTH)
         tree = simulate_observation_tree(model, 3, replica_stream(0))
-        assert (tree.delta[1:] == 1).all()
+        assert tree.observed_indices().tolist() == list(range(1, 16))
         c = tree.counts()
         for n in range(1, 4):
             assert c.z[n].tolist() == [2 ** (n - 1), 2 ** (n - 1)]
@@ -88,13 +89,19 @@ class TestSimulateObservationTree:
     def test_no_offspring_law_gives_root_only(self):
         model = GwModel(ALWAYS_NONE, ALWAYS_NONE)
         tree = simulate_observation_tree(model, 3, replica_stream(0))
-        assert tree.delta.sum() == 1
+        assert tree.observed_indices().tolist() == [1]
+
+    @pytest.mark.parametrize("depth", [0, 40])
+    def test_depth_outside_range_raises_before_allocating(self, depth):
+        # a depth-40 presence array would take 2 TiB
+        with pytest.raises(DepthError):
+            simulate_observation_tree(GwModel(P0, P0), depth, replica_stream(0))
 
     def test_bit_for_bit_reproducible(self):
         model = GwModel(P0, P1)
         t1 = simulate_observation_tree(model, 6, replica_stream(11, 5))
         t2 = simulate_observation_tree(model, 6, replica_stream(11, 5))
-        assert np.array_equal(t1.delta, t2.delta)
+        assert t1 == t2
 
     def test_growth_rate_matches_dominant_eigenvalue(self):
         # all entries of the descendants matrix are 0.88 -> pi = 1.76

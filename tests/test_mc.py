@@ -62,6 +62,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(which_test="coefficient", gw_null=law)
 
+    @pytest.mark.parametrize("generations", [(4, 4), (7, 9, 9), (0, 3), (3, 31)])
+    def test_generations_strictly_ascending_in_range(self, generations):
+        law = GwModel(P0_LAW, P0_LAW)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            McConfig(which_test="gw_mean", gw_null=law, generations=generations)
+
     def test_null_only_when_no_alternative(self):
         cfg = McConfig(which_test="gw_mean", gw_null=GwModel(P0_LAW, P0_LAW))
         assert cfg.hypotheses == ("H0",)

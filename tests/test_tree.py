@@ -1,22 +1,47 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barlineage import ObservationTree
-from barlineage.errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
-from barlineage.tree import _reflect_array, gen_slice, generation
+from barlineage import (
+    ObservationTree,
+    ValueTree,
+    estimate_reproduction,
+    residual_noise_estimates,
+    sufficient_stats,
+)
+from barlineage.errors import (
+    DepthError,
+    IndexOutOfRange,
+    InsufficientData,
+    MissingRoot,
+    OrphanCell,
+)
+from barlineage.tree import generation
 
-from conftest import brute_counts, observation_trees, random_tree
+from conftest import (
+    brute_counts,
+    dense_delta,
+    dense_noise,
+    dense_reflect,
+    dense_reproduction,
+    dense_sufficient_stats,
+    dense_tree,
+    observation_trees,
+    presence_arrays,
+    random_tree,
+    tree_of,
+)
 
 
 class TestIndexKinematics:
     def test_root(self):
         assert generation(1) == 0
-        assert gen_slice(0) == slice(1, 2)
+        assert generation(2) == generation(3) == 1
 
     def test_generic_odd_cell(self):
         assert generation(7) == 2
-        assert gen_slice(2) == slice(4, 8)
+        assert generation(4) == 2 and generation(8) == 3
 
     def test_deep_even_cell(self):
         # 2**11 = 2048 <= 2048 < 4096 = 2**12, so generation 11
@@ -37,7 +62,7 @@ class TestIndexKinematics:
 class TestValidate:
     def test_complete_depth1(self):
         tree = ObservationTree.from_indices(1, {1, 2, 3})
-        assert tree.delta[1:].tolist() == [1, 1, 1]
+        assert tree.observed_indices().tolist() == [1, 2, 3]
 
     def test_missing_root(self):
         with pytest.raises(MissingRoot):
@@ -53,14 +78,22 @@ class TestValidate:
             ObservationTree.from_indices(1, {1, 2, 3, 9})
 
     def test_presence_is_a_bit(self):
-        delta = np.zeros(8, dtype=np.uint8)
-        delta[1:4] = [1, 2, 1]
-        with pytest.raises(ValueError):
-            ObservationTree(2, delta)
+        # a label listed twice is one observed cell
+        tree = ObservationTree.from_indices(2, [1, 3, 3, 2, 1])
+        assert tree.observed_indices().tolist() == [1, 2, 3]
+        assert tree.counts().t_star[2] == 3
+
+    def test_labels_must_ascend(self):
+        for labels in ([1, 3, 2], [1, 2, 2]):
+            with pytest.raises(ValueError):
+                ObservationTree(2, np.array(labels))
 
     def test_depth_cap(self):
-        with pytest.raises(DepthError):
-            ObservationTree(31, np.zeros(4, dtype=np.uint8))
+        for depth in (0, 31):
+            with pytest.raises(DepthError):
+                ObservationTree(depth, np.array([1]))
+            with pytest.raises(DepthError):
+                ObservationTree.from_indices(depth, [1])
 
 
 class TestObservedCounts:
@@ -97,11 +130,13 @@ class TestObservedCounts:
 
     @given(observation_trees())
     def test_labels_and_pair_mothers(self, tree):
-        n, delta = tree.depth, tree.delta
+        n, delta = tree.depth, dense_delta(tree)
         labels = [k for k in range(1, 2 ** (n + 1)) if delta[k]]
         pairs = [k for k in range(1, 2 ** n) if delta[2 * k] and delta[2 * k + 1]]
         assert tree.observed_indices().tolist() == labels
-        assert tree.pair_mothers().tolist() == pairs
+        kids = tree.observed_indices()[1:]
+        assert (tree.observed_indices()[tree.mother_positions()] == kids >> 1).all()
+        assert (tree.observed_indices()[tree.pair_positions()] >> 1).tolist() == pairs
 
     @given(observation_trees())
     def test_extinction_is_monotone(self, tree):
@@ -115,22 +150,74 @@ class TestReflection:
     def test_involution(self, rng):
         tree = random_tree(5, rng)
         back = tree.reflect().reflect()
-        assert (back.delta == tree.delta).all()
+        assert back == tree
 
     def test_swaps_siblings(self, rng):
         tree = random_tree(4, rng)
         ref = tree.reflect()
         # the mirrored root daughters swap
-        assert ref.delta[2] == tree.delta[3]
-        assert ref.delta[3] == tree.delta[2]
+        delta, ref_delta = dense_delta(tree), dense_delta(ref)
+        assert ref_delta[2] == delta[3]
+        assert ref_delta[3] == delta[2]
         # per-generation observed totals are preserved
         assert (ref.counts().g_star == tree.counts().g_star).all()
 
     @pytest.mark.parametrize("depth", range(1, 8))
     def test_flips_non_leading_bits(self, depth):
-        # entry k moves to the label with every binary digit below the
-        # leading one flipped
-        x = np.arange(1 << (depth + 1), dtype=float)
-        out = _reflect_array(x, depth)
-        for k in range(1, len(x)):
-            assert out[k ^ ((1 << generation(k)) - 1)] == x[k]
+        # the trait of cell k moves to the label with every binary digit
+        # below the leading one flipped
+        labels = np.arange(1, 1 << (depth + 1))
+        out = ValueTree(depth, labels.astype(float), labels).reflect()
+        assert out.labels.tolist() == labels.tolist()
+        for k, v in zip(out.labels.tolist(), out.x.tolist()):
+            assert k == int(v) ^ ((1 << generation(int(v))) - 1)
+
+
+class TestDenseOracle:
+    """Labels, counts, estimators and reflection against the dense arrays."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(presence_arrays(), st.integers(0, 2 ** 32 - 1))
+    def test_bit_equal(self, drawn, seed):
+        depth, delta = drawn
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([[0.0], rng.normal(size=delta.size - 1)])
+        theta = rng.normal(size=4)
+        tree = tree_of(depth, delta)
+        labels, pair_mothers, counts = dense_tree(depth, delta)
+        assert tree.observed_indices().tobytes() == labels.tobytes()
+        assert (labels[tree.pair_positions()] >> 1).tobytes() == pair_mothers.tobytes()
+        c = tree.counts()
+        for got, want in zip((c.z, c.g_star, c.t_star, c.t01), counts):
+            assert got.tobytes() == want.tobytes()
+
+        if depth >= 2:
+            rep = estimate_reproduction(tree)
+            phat, mothers, zhat, t_star = dense_reproduction(depth, delta)
+            assert rep.phat.tobytes() == phat.tobytes()
+            assert (rep.mother_counts, rep.zhat, rep.t_star) == (mothers, zhat, t_star)
+        else:
+            with pytest.raises(InsufficientData):
+                estimate_reproduction(tree)
+
+        every = np.arange(1, delta.size)
+        s0, s1, s01, rhs, cnt = dense_sufficient_stats(depth, delta, x)
+        sigma2, rho = dense_noise(depth, delta, x, theta)
+        # the simulator's full draw, a file's cells, and a superset of them
+        for values in (ValueTree(depth, x), ValueTree(depth, x[labels], tree.labels),
+                       ValueTree(depth, x[1:], every)):
+            s = sufficient_stats(values, tree)
+            for got, want in zip((s.s0, s.s1, s.s01, s.rhs), (s0, s1, s01, rhs)):
+                assert got.tobytes() == want.tobytes()
+            assert s.counts == cnt
+            noise = residual_noise_estimates(values, tree, theta)
+            assert (noise.sigma2_hat, noise.rho_hat) == (sigma2, rho)
+
+        ref = tree.reflect()
+        ref_delta = dense_reflect(delta, depth)
+        assert ref.observed_indices().tolist() == np.flatnonzero(ref_delta).tolist()
+        mirrored = dense_reflect(x, depth)
+        assert ValueTree(depth, x).reflect().x.tobytes() == mirrored.tobytes()
+        sparse = ValueTree(depth, x[labels], tree.labels).reflect()
+        assert sparse.labels.tolist() == ref.observed_indices().tolist()
+        assert sparse.x.tobytes() == mirrored[ref.observed_indices()].tobytes()
