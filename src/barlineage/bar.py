@@ -62,7 +62,7 @@ class BarModel:
         return self.c / (1.0 - self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTree:
     """Traits of a lineage's cells.
 
@@ -150,7 +150,7 @@ def simulate_bar_values(
     return ValueTree(depth, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SufficientStats:
     """Design sums over observed mother-daughter pairs.
 
@@ -253,7 +253,7 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: fl
     return 0.5 * (c + c.T)  # symmetrize away roundoff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarEstimate:
     """Full estimation output for one (values, observations) pair."""
 

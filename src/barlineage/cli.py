@@ -12,7 +12,6 @@ degeneracy (the data were read but a statistic is undefined on them).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _probs(text: str) -> gw.ReproductionLaw:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected 4 comma-separated probabilities")
+        raise ValueError("expected 4 comma-separated probabilities")
     return gw.ReproductionLaw(*parts)
 
 
@@ -206,16 +205,21 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
-# the keys _build_mc_config reads
-_CONFIG_KEYS = (
-    "which_test", "gw_null_law0", "gw_null_law1", "gw_alt_law0", "gw_alt_law1",
-    "bar_null", "bar_alt", "generations", "replicas", "thresholds", "master_seed",
-)
+# mc --config keys, each with the parser of its value; the law pairs
+# become the McConfig fields gw_null and gw_alt
+_CONFIG_KEYS = {
+    "which_test": str,
+    "gw_null_law0": _probs, "gw_null_law1": _probs,
+    "gw_alt_law0": _probs, "gw_alt_law1": _probs,
+    "bar_null": lambda text: bar.BarModel(*_floats(text)),
+    "bar_alt": lambda text: bar.BarModel(*_floats(text)),
+    "generations": _ints, "replicas": int, "thresholds": _floats, "master_seed": int,
+}
 
 
 def _config_from_file(path: str) -> dict:
-    """Flat key=value file mirroring McConfig (laws/models as comma lists)."""
-    raw = {}
+    """McConfig fields from a flat key=value file (laws/models as comma lists)."""
+    fields, line_of = {}, {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -225,37 +229,31 @@ def _config_from_file(path: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise BarLineageError(f"{path}:{line_no}: unknown key {key!r}")
-        raw[key] = val
-    return raw
+        try:
+            fields[key] = _CONFIG_KEYS[key](val)
+        except (ValueError, TypeError) as exc:
+            raise BarLineageError(f"{path}:{line_no}: {key}: {exc}") from None
+        line_of[key] = line_no
+    for side in ("null", "alt"):
+        k0, k1 = f"gw_{side}_law0", f"gw_{side}_law1"
+        if k0 in fields:
+            law0 = fields.pop(k0)
+            fields[f"gw_{side}"] = gw.GwModel(law0, fields.pop(k1, law0))
+        elif k1 in fields:
+            raise BarLineageError(f"{path}:{line_of[k1]}: {k1}: given without {k0}")
+    return fields
 
 
 def _build_mc_config(args) -> mc.McConfig:
-    """Preset (or GW-mean default), then the config file, then the flags."""
-    if args.table is not None:
-        base = mc.table_config(args.table)
-    else:
-        base = mc.McConfig("gw_mean", gw.GwModel(mc.P0_LAW, mc.P0_LAW))
-    raw = _config_from_file(args.config) if args.config else {}
-    fields = {}
-    if "which_test" in raw:
-        fields["which_test"] = raw["which_test"]
-    for side in ("null", "alt"):
-        k0, k1 = f"gw_{side}_law0", f"gw_{side}_law1"
-        if k0 in raw:
-            law0 = _probs(raw[k0])
-            law1 = _probs(raw.get(k1, raw[k0]))
-            fields[f"gw_{side}"] = gw.GwModel(law0, law1)
-        bk = f"bar_{side}"
-        if bk in raw:
-            fields[bk] = bar.BarModel(*_floats(raw[bk]))
-    for key, parse in (("generations", _ints), ("replicas", int),
-                       ("thresholds", _floats), ("master_seed", int)):
-        if key in raw:
-            fields[key] = parse(raw[key])
+    """Preset (without --table, the null-only GW-mean test), then the
+    config file, then the flags."""
+    fields = {} if args.table else {"gw_alt": None}
+    if args.config:
+        fields.update(_config_from_file(args.config))
     flags = {"replicas": args.replicas, "master_seed": args.seed,
              "generations": args.generations, "thresholds": args.thresholds}
     fields.update({k: v for k, v in flags.items() if v is not None})
-    return dataclasses.replace(base, **fields)
+    return mc.table_config(args.table or 1, **fields)
 
 
 def _cmd_mc(args) -> int:
@@ -285,8 +283,8 @@ def main(argv=None) -> int:
     except StatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (BarLineageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BarLineageError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

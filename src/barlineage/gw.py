@@ -118,7 +118,7 @@ def simulate_observation_tree(
     return ObservationTree(depth, np.flatnonzero(delta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReproductionEstimate:
     """Empirical reproduction probabilities from one observation tree.
 

@@ -13,11 +13,10 @@ across worker counts.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,8 +64,9 @@ class McConfig:
             raise ValueError(f"which_test must be one of {TESTS}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie in (0, 1)")
+        ts = self.thresholds
+        if len(set(ts)) != len(ts) or not all(0.0 < t < 1.0 for t in ts):
+            raise ValueError("thresholds must be distinct and lie in (0, 1)")
         gens = list(self.generations)
         if gens != sorted(set(gens)) or not all(1 <= g <= MAX_DEPTH for g in gens):
             raise ValueError(f"generations must be strictly ascending within 1..{MAX_DEPTH}")
@@ -79,32 +79,22 @@ class McConfig:
         return ("H0", "H1") if alt is not None else ("H0",)
 
 
-def table_config(table: int, replicas: int = 1000, master_seed: int = 0,
-                 generations=(7, 8, 9, 10, 11)) -> McConfig:
-    """Preset configurations for the three published experiments."""
-    gw_null = gw.GwModel(P0_LAW, P0_LAW)
-    if table == 1:
-        return McConfig(
-            which_test="gw_mean",
-            gw_null=gw_null,
-            gw_alt=gw.GwModel(P1_LAW, P0_LAW),
-            generations=tuple(generations),
-            replicas=replicas,
-            master_seed=master_seed,
-        )
-    if table in (2, 3):
-        null = bar.BarModel(0.5, 0.5, 0.5, 0.5, DEFAULT_SIGMA2, DEFAULT_RHO)
-        alt = bar.BarModel(0.5, 0.5, 0.5, 0.4, DEFAULT_SIGMA2, DEFAULT_RHO)
-        return McConfig(
-            which_test="coefficient" if table == 2 else "fixed_point",
-            gw_null=gw_null,
-            bar_null=null,
-            bar_alt=alt,
-            generations=tuple(generations),
-            replicas=replicas,
-            master_seed=master_seed,
-        )
-    raise ValueError(f"no preset for table {table}")
+_GW_NULL = gw.GwModel(P0_LAW, P0_LAW)
+_BAR_NULL = bar.BarModel(0.5, 0.5, 0.5, 0.5, DEFAULT_SIGMA2, DEFAULT_RHO)
+_BAR_ALT = bar.BarModel(0.5, 0.5, 0.5, 0.4, DEFAULT_SIGMA2, DEFAULT_RHO)
+_PRESETS = {
+    1: McConfig("gw_mean", _GW_NULL, gw_alt=gw.GwModel(P1_LAW, P0_LAW)),
+    2: McConfig("coefficient", _GW_NULL, bar_null=_BAR_NULL, bar_alt=_BAR_ALT),
+    3: McConfig("fixed_point", _GW_NULL, bar_null=_BAR_NULL, bar_alt=_BAR_ALT),
+}
+
+
+def table_config(table: int, **fields) -> McConfig:
+    """Preset configuration of one of the three published experiments,
+    with any ``McConfig`` field overridden by keyword."""
+    if table not in _PRESETS:
+        raise ValueError(f"no preset for table {table}")
+    return replace(_PRESETS[table], **fields)
 
 
 def run_test(which_test: str, tree, values) -> TestReport:
@@ -219,80 +209,63 @@ def _run_cell(config, hypothesis, generation, workers):
     return [o for chunk in chunks for o in chunk]
 
 
-_CSV_HEADER = "generation,hypothesis,threshold,rejection_pct,n_used,n_extinct,n_degenerate"
+# One row per cell x threshold: the CSV header and the JSON keys, with
+# the type each column reads back as.
+_COLUMNS = ("generation", "hypothesis", "threshold", "rejection_pct",
+            "n_used", "n_extinct", "n_degenerate")
+_TYPES = (int, str, float, float, int, int, int)
+_CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _rows(table: McTable):
     for (generation, hypothesis), cell in sorted(table.cells.items()):
         for i, t in enumerate(table.thresholds):
-            yield {
-                "generation": generation,
-                "hypothesis": hypothesis,
-                "threshold": t,
-                "rejection_pct": round(100.0 * cell.proportion(i), 1),
-                "n_used": cell.n_used,
-                "n_extinct": cell.n_extinct,
-                "n_degenerate": cell.n_degenerate,
-            }
+            yield (generation, hypothesis, t, round(100.0 * cell.proportion(i), 1),
+                   cell.n_used, cell.n_extinct, cell.n_degenerate)
 
 
 def emit_table(table: McTable, fmt: str = "csv") -> str:
-    """Render as CSV (one row per cell x threshold) or the JSON mirror."""
+    """Render as CSV (one row per cell x threshold) or the JSON mirror.
+    CSV cells are ``str()`` of each value, the shortest text that reads
+    back to the same float."""
     if fmt == "json":
-        return json.dumps(list(_rows(table)), indent=2) + "\n"
+        return json.dumps([dict(zip(_COLUMNS, r)) for r in _rows(table)], indent=2) + "\n"
     if fmt != "csv":
         raise ValueError(f"unsupported format {fmt!r}")
-    out = io.StringIO()
-    out.write(_CSV_HEADER + "\n")
-    for r in _rows(table):
-        out.write(
-            f"{r['generation']},{r['hypothesis']},{r['threshold']:g},"
-            f"{r['rejection_pct']:.1f},{r['n_used']},{r['n_extinct']},{r['n_degenerate']}\n"
-        )
-    return out.getvalue()
+    lines = [_CSV_HEADER, *(",".join(map(str, r)) for r in _rows(table))]
+    return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str, fmt: str = "csv") -> McTable:
     """Rebuild an McTable from emit_table output (without p-value archives).
 
-    Rejection counts are recovered from the one-decimal percentage; the
-    recovery is exact whenever n_used <= 1000 (rounding error below half
-    a count), which covers the published experiments.
+    Every cell must list the same thresholds in the same order, as
+    emit_table writes them.  Rejection counts are recovered from the
+    one-decimal percentage; the recovery is exact whenever
+    n_used <= 1000 (rounding error below half a count), which covers the
+    published experiments.  Input that cannot be read raises ValueError.
     """
     if fmt == "json":
-        rows = json.loads(text)
+        records = [[r[c] for c in _COLUMNS] for r in json.loads(text)]
     elif fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != _CSV_HEADER:
+        if not lines or lines[0] != _CSV_HEADER:
             raise ValueError("unrecognized table header")
-        rows = []
-        for ln in lines[1:]:
-            g, h, t, pct, used, ext, deg = ln.split(",")
-            rows.append(
-                {
-                    "generation": int(g),
-                    "hypothesis": h,
-                    "threshold": float(t),
-                    "rejection_pct": float(pct),
-                    "n_used": int(used),
-                    "n_extinct": int(ext),
-                    "n_degenerate": int(deg),
-                }
-            )
+        records = [ln.split(",") for ln in lines[1:]]
     else:
         raise ValueError(f"unsupported format {fmt!r}")
-    thresholds: list[float] = []
     grouped: dict = {}
-    for r in rows:
-        if r["threshold"] not in thresholds:
-            thresholds.append(r["threshold"])
+    for values in records:
+        if len(values) != len(_COLUMNS):
+            raise ValueError(f"table row {','.join(values)!r}: expected {len(_COLUMNS)} fields")
+        r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
         grouped.setdefault((r["generation"], r["hypothesis"]), []).append(r)
+    thresholds = tuple(r["threshold"] for r in next(iter(grouped.values()), []))
     cells = {}
     for key, cell_rows in grouped.items():
-        cell_rows.sort(key=lambda r: thresholds.index(r["threshold"]))
-        rej = tuple(
-            int(round(r["rejection_pct"] / 100.0 * r["n_used"])) for r in cell_rows
-        )
+        if tuple(r["threshold"] for r in cell_rows) != thresholds:
+            raise ValueError(f"cell {key} does not list the thresholds {thresholds}")
+        rej = tuple(round(r["rejection_pct"] / 100.0 * r["n_used"]) for r in cell_rows)
         r0 = cell_rows[0]
         cells[key] = McCell(rej, r0["n_used"], r0["n_extinct"], r0["n_degenerate"])
-    return McTable(tuple(thresholds), cells)
+    return McTable(thresholds, cells)

@@ -45,7 +45,7 @@ def mirror(labels: np.ndarray) -> np.ndarray:
     return labels ^ ((1 << gen) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedCounts:
     """Per-generation and cumulative observed-cell counts.
 

@@ -1,10 +1,11 @@
 """The public API is what the README documents.
 
-Three contracts, checked on the source text:
+Four contracts, checked on the source text:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
-- no module of the package imports a name it never uses.
+- no module of the package imports a name it never uses;
+- the README lists exactly the keys ``mc --config`` reads.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import barlineage
+from barlineage import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -70,3 +72,9 @@ def test_module_uses_every_import(path):
 
 def test_unused_import_is_found():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == {"math"}
+
+
+def test_readme_lists_the_config_keys():
+    listed = re.search(r"An `mc --config` file .*?\swith the keys (.*?);", README, re.DOTALL)
+    assert listed, "no mc --config key list in README.md"
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(cli._CONFIG_KEYS)

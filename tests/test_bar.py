@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from barlineage import (
     asymptotic_covariance,
     coefficient_test,
     estimate_bar,
+    estimate_reproduction,
     fixed_point_test,
     ls_estimate,
     replica_stream,
@@ -39,6 +42,28 @@ ZERO_NOISE = BarModel(1.0, 0.5, 2.0, 0.25, 0.0, 0.0)
 
 def full_tree(depth):
     return ObservationTree.from_indices(depth, range(1, 1 << (depth + 1)))
+
+
+def _array_holders():
+    tree = full_tree(3)
+    values = simulate_bar_values(BarModel(0.5, 0.5, 0.5, 0.4, 1.0, 0.5), 3, 1.0,
+                                 replica_stream(5))
+    return {
+        "ValueTree": values,
+        "ObservedCounts": tree.counts(),
+        "SufficientStats": sufficient_stats(values, tree),
+        "ReproductionEstimate": estimate_reproduction(tree),
+        "BarEstimate": estimate_bar(values, tree),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # the dataclass __eq__ would compare numpy arrays element-wise and raise
+    obj = _array_holders()[name]
+    assert type(obj).__name__ == name
+    assert obj == obj
+    assert obj != copy.deepcopy(obj)
 
 
 class TestBarModel:

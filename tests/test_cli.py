@@ -18,6 +18,7 @@ from barlineage import (
     emit_lineage,
     ingest,
 )
+from barlineage import gw
 from barlineage.cli import main
 from barlineage.errors import (
     DepthError,
@@ -291,6 +292,16 @@ class TestSimulate:
         assert main(["simulate", "--depth", "3", "--out", str(out),
                      "--law0", "0.5,0.5"]) == 1
 
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(gw, "simulate_observation_tree", no_memory)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--depth", "29", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 GiB\n"
+        assert not out.exists()
+
 
 def chain_file(tmp_path, depth):
     """One branch of alternating even and odd daughters down to ``depth``:
@@ -306,6 +317,7 @@ def chain_file(tmp_path, depth):
 # peak resident memory of one `barlineage estimate` in a fresh interpreter
 _PEAK_RSS = """
 import sys
+from barlineage import gw
 from barlineage.cli import main
 code = main(["estimate", sys.argv[1]])
 with open("/proc/self/status") as fh:
@@ -576,6 +588,18 @@ class TestMcCommand:
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = write(tmp_path, "just words\n", name="mc.cfg")
         assert main(["mc", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("line,reason", [
+        ("gw_null_law0 = 0.5,0.5", "gw_null_law0: expected 4 comma-separated probabilities"),
+        ("replicas = ten", "replicas: invalid literal for int() with base 10: 'ten'"),
+        ("gw_alt_law1 = 0.04,0.08,0.08,0.8", "gw_alt_law1: given without gw_alt_law0"),
+    ])
+    def test_bad_config_value_names_its_line(self, tmp_path, capsys, line, reason):
+        cfg = write(tmp_path, f"# tiny run\ngenerations = 7\n{line}\n", name="mc.cfg")
+        assert main(["mc", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: {reason}\n"
 
     def test_matches_library_run(self, tmp_path, capsys):
         from barlineage import emit_table, run_table, table_config

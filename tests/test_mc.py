@@ -45,6 +45,12 @@ class TestConfig:
             assert cfg.bar_null.b == cfg.bar_null.d == 0.5
             assert cfg.bar_alt.d == 0.4
 
+    def test_preset_fields_can_be_overridden(self):
+        cfg = table_config(2, thresholds=(0.1,), bar_alt=None, replicas=7)
+        assert cfg.thresholds == (0.1,) and cfg.hypotheses == ("H0",)
+        assert cfg.replicas == 7 and cfg.which_test == "coefficient"
+        assert table_config(2).thresholds == (0.05, 0.01, 0.001)
+
     def test_no_preset_for_unknown_table(self):
         with pytest.raises(ValueError):
             table_config(4)
@@ -57,6 +63,8 @@ class TestConfig:
             McConfig(which_test="gw_mean", gw_null=law, replicas=0)
         with pytest.raises(ValueError):
             McConfig(which_test="gw_mean", gw_null=law, thresholds=(1.5,))
+        with pytest.raises(ValueError, match="distinct"):
+            McConfig(which_test="gw_mean", gw_null=law, thresholds=(0.05, 0.05))
         with pytest.raises(ValueError):
             McConfig(which_test="gw_mean", gw_null=law, generations=(9, 7))
         with pytest.raises(ValueError):
@@ -190,14 +198,19 @@ class TestRunTable:
             run_table(cfg)
 
 
-def toy_table():
+def toy_table(thresholds=(0.05, 0.01)):
     return McTable(
-        thresholds=(0.05, 0.01),
+        thresholds=thresholds,
         cells={
             (7, "H0"): McCell((64, 12), 1000, 12, 0),
             (7, "H1"): McCell((431, 198), 997, 3, 0),
         },
     )
+
+
+# the default pair, a threshold with more than 6 significant digits, and
+# a repeated threshold
+ROUND_TRIP_THRESHOLDS = [(0.05, 0.01), (0.0123456789, 0.01), (0.05, 0.05)]
 
 
 class TestEmitParse:
@@ -221,12 +234,23 @@ class TestEmitParse:
             emit_table(toy_table(), fmt="xml")
 
     def test_round_trip_csv(self):
-        t = toy_table()
-        assert parse_table(emit_table(t)) == t
+        for thresholds in ROUND_TRIP_THRESHOLDS:
+            t = toy_table(thresholds)
+            assert parse_table(emit_table(t)) == t
 
     def test_round_trip_json(self):
-        t = toy_table()
-        assert parse_table(emit_table(t, fmt="json"), fmt="json") == t
+        for thresholds in ROUND_TRIP_THRESHOLDS:
+            t = toy_table(thresholds)
+            assert parse_table(emit_table(t, fmt="json"), fmt="json") == t
+
+    @pytest.mark.parametrize("text,match", [
+        ("", "header"),
+        ("\n", "header"),
+        (emit_table(toy_table()) + "7,H1,0.01,19.9\n", "'7,H1,0.01,19.9': expected 7 fields"),
+    ], ids=["empty", "blank", "short-row"])
+    def test_parse_rejects_unreadable_csv(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_table(text)
 
     def test_round_trip_real_run(self):
         t = run_table(SMALL)
