@@ -233,6 +233,10 @@ def _config_from_file(path: str) -> dict:
             fields[key] = _CONFIG_KEYS[key](val)
         except (ValueError, TypeError) as exc:
             raise BarLineageError(f"{path}:{line_no}: {key}: {exc}") from None
+        try:
+            mc.check_field(key, fields[key])
+        except ValueError as exc:  # it names the key
+            raise BarLineageError(f"{path}:{line_no}: {exc}") from None
         line_of[key] = line_no
     for side in ("null", "alt"):
         k0, k1 = f"gw_{side}_law0", f"gw_{side}_law1"

@@ -95,26 +95,26 @@ def simulate_observation_tree(
 
     Each observed mother draws one of the four (j0, j1) outcomes from
     her type's law; unobserved cells leave both daughters unobserved.
-    One uniform is consumed per cell of each generation (observed or
-    not) so the stream layout depends only on ``depth``.
+    One ``rng.random`` call draws a uniform for every cell 1 .. 2^depth - 1
+    (observed or not), in label order: the layout of one draw per
+    generation, so the stream depends only on ``depth``.
     """
     check_depth(depth)
-    delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
-    delta[1] = 1
-    cum0 = np.cumsum(model.law0.as_array())
-    cum1 = np.cumsum(model.law1.as_array())
-    for g in range(depth):
-        mothers = np.arange(1 << g, 1 << (g + 1))
-        u = rng.random(mothers.size)
-        out = np.where(
-            mothers & 1,
-            np.searchsorted(cum1, u, side="right"),
-            np.searchsorted(cum0, u, side="right"),
-        )
-        obs = delta[mothers] == 1
-        # outcome index -> (j0, j1): 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1)
-        delta[2 * mothers] = obs & ((out == 1) | (out == 3))
-        delta[2 * mothers + 1] = obs & (out >= 2)
+    u = rng.random((1 << depth) - 1)  # mother k's uniform is u[k - 1]
+    # delta[2k], delta[2k+1] first take mother k's outcome, observed or not:
+    # index #{cum <= u}, 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1) and
+    # 4 (a law summing to just under 1) -> (0,1); so j0 is its parity and j1
+    # is u >= cum[1].  Mothers of type 1 (k = 1, 3, ..) read u[0::2].
+    delta = np.zeros(1 << (depth + 1), dtype=bool)
+    for law, k in ((model.law1, 1), (model.law0, 2)):
+        c, v = np.cumsum(law.as_array()), u[k - 1 :: 2]
+        delta[2 * k :: 4] = (v >= c[0]) ^ (v >= c[1]) ^ (v >= c[2]) ^ (v >= c[3])
+        delta[2 * k + 1 :: 4] = v >= c[1]
+    del u, v  # before the tree's arrays are built
+    delta[1] = True
+    for g in range(depth):  # a daughter stays observed only if her mother is
+        sisters = delta[2 << g : 4 << g].view(np.uint16)  # one entry per sister pair
+        sisters *= delta[1 << g : 2 << g]
     return ObservationTree(depth, np.flatnonzero(delta))
 
 

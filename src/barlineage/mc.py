@@ -47,6 +47,25 @@ DEFAULT_SIGMA2 = 1.0
 DEFAULT_RHO = 0.5
 
 
+# (passes, requirement) of each McConfig field with a check of its own
+_FIELD_CHECKS = {
+    "which_test": (lambda v: v in TESTS, f"must be one of {TESTS}"),
+    "replicas": (lambda v: v >= 1, "must be >= 1"),
+    "thresholds": (lambda v: 0 < len(set(v)) == len(v) and all(0.0 < t < 1.0 for t in v),
+                   "must be one or more distinct values in (0, 1)"),
+    "generations": (lambda v: 0 < len(v) and list(v) == sorted(set(v))
+                    and all(1 <= g <= MAX_DEPTH for g in v),
+                    f"must be one or more, strictly ascending within 1..{MAX_DEPTH}"),
+}
+
+
+def check_field(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless ``value`` passes its McConfig check."""
+    passes, requirement = _FIELD_CHECKS.get(name, (lambda v: True, ""))
+    if not passes(value):
+        raise ValueError(f"{name}: {requirement}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     which_test: str
@@ -60,16 +79,8 @@ class McConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.which_test not in TESTS:
-            raise ValueError(f"which_test must be one of {TESTS}")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        ts = self.thresholds
-        if len(set(ts)) != len(ts) or not all(0.0 < t < 1.0 for t in ts):
-            raise ValueError("thresholds must be distinct and lie in (0, 1)")
-        gens = list(self.generations)
-        if gens != sorted(set(gens)) or not all(1 <= g <= MAX_DEPTH for g in gens):
-            raise ValueError(f"generations must be strictly ascending within 1..{MAX_DEPTH}")
+        for name in _FIELD_CHECKS:
+            check_field(name, getattr(self, name))
         if self.which_test != "gw_mean" and self.bar_null is None:
             raise ValueError(f"{self.which_test} needs bar_null")
 
@@ -100,8 +111,7 @@ def table_config(table: int, **fields) -> McConfig:
 def run_test(which_test: str, tree, values) -> TestReport:
     """Run one of ``TESTS`` on a lineage.  ``values`` is not read by
     ``gw_mean`` and may be None there."""
-    if which_test not in TESTS:
-        raise ValueError(f"which_test must be one of {TESTS}")
+    check_field("which_test", which_test)
     if which_test == "gw_mean":
         return gw.gw_mean_test(tree)
     est = bar.estimate_bar(values, tree)
@@ -243,24 +253,35 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
     emit_table writes them.  Rejection counts are recovered from the
     one-decimal percentage; the recovery is exact whenever
     n_used <= 1000 (rounding error below half a count), which covers the
-    published experiments.  Input that cannot be read raises ValueError.
+    published experiments.  Input that cannot be read raises ValueError,
+    naming the first row it cannot read; so does a table with no rows.
     """
     if fmt == "json":
-        records = [[r[c] for c in _COLUMNS] for r in json.loads(text)]
+        rows = json.loads(text)
+        if not isinstance(rows, list):
+            raise ValueError("a JSON table is a list of row objects")
+        # a row is named by its JSON text; one that is not an object has no fields
+        records = [(json.dumps(r), [r[c] for c in _COLUMNS if c in r] if isinstance(r, dict)
+                    else []) for r in rows]
     elif fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
             raise ValueError("unrecognized table header")
-        records = [ln.split(",") for ln in lines[1:]]
+        records = [(ln, ln.split(",")) for ln in lines[1:]]
     else:
         raise ValueError(f"unsupported format {fmt!r}")
+    if not records:
+        raise ValueError("the table has no rows")
     grouped: dict = {}
-    for values in records:
+    for name, values in records:
         if len(values) != len(_COLUMNS):
-            raise ValueError(f"table row {','.join(values)!r}: expected {len(_COLUMNS)} fields")
-        r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
+            raise ValueError(f"table row {name!r}: expected {len(_COLUMNS)} fields: {_CSV_HEADER}")
+        try:
+            r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table row {name!r}: {exc}") from None
         grouped.setdefault((r["generation"], r["hypothesis"]), []).append(r)
-    thresholds = tuple(r["threshold"] for r in next(iter(grouped.values()), []))
+    thresholds = tuple(r["threshold"] for r in next(iter(grouped.values())))
     cells = {}
     for key, cell_rows in grouped.items():
         if tuple(r["threshold"] for r in cell_rows) != thresholds:

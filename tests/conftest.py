@@ -214,6 +214,29 @@ def dense_reflect(arr, depth):
     return out
 
 
+def brute_simulate_observation_tree(model, depth, rng):
+    """The presence process one generation at a time: one uniform per
+    mother of generation g, her outcome found by ``searchsorted`` in her
+    type's cumulative law."""
+    delta = np.zeros(1 << (depth + 1), dtype=np.uint8)
+    delta[1] = 1
+    cum0 = np.cumsum(model.law0.as_array())
+    cum1 = np.cumsum(model.law1.as_array())
+    for g in range(depth):
+        mothers = np.arange(1 << g, 1 << (g + 1))
+        u = rng.random(mothers.size)
+        out = np.where(
+            mothers & 1,
+            np.searchsorted(cum1, u, side="right"),
+            np.searchsorted(cum0, u, side="right"),
+        )
+        obs = delta[mothers] == 1
+        # outcome index -> (j0, j1): 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1)
+        delta[2 * mothers] = obs & ((out == 1) | (out == 3))
+        delta[2 * mothers + 1] = obs & (out >= 2)
+    return ObservationTree(depth, np.flatnonzero(delta))
+
+
 def brute_simulate_bar_values(model, depth, x1, rng):
     """The recursion cell by cell, drawing one generation's normals at a
     time: the g1 row for the mothers of generation g, then the g2 row."""

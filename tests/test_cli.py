@@ -593,6 +593,11 @@ class TestMcCommand:
         ("gw_null_law0 = 0.5,0.5", "gw_null_law0: expected 4 comma-separated probabilities"),
         ("replicas = ten", "replicas: invalid literal for int() with base 10: 'ten'"),
         ("gw_alt_law1 = 0.04,0.08,0.08,0.8", "gw_alt_law1: given without gw_alt_law0"),
+        # values that parse but that McConfig's field checks reject
+        ("which_test = anova",
+         "which_test: must be one of ('gw_mean', 'coefficient', 'fixed_point')"),
+        ("generations = 9,7", "generations: must be one or more, strictly ascending within 1..30"),
+        ("thresholds = 1.5", "thresholds: must be one or more distinct values in (0, 1)"),
     ])
     def test_bad_config_value_names_its_line(self, tmp_path, capsys, line, reason):
         cfg = write(tmp_path, f"# tiny run\ngenerations = 7\n{line}\n", name="mc.cfg")

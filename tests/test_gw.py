@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlineage import (
     GwModel,
@@ -24,12 +26,42 @@ from barlineage.errors import (
 )
 from barlineage.gw import MEAN_DIFF_GRADIENT, ReproductionEstimate
 
-from conftest import brute_reproduction, observation_trees
+from conftest import brute_reproduction, brute_simulate_observation_tree, observation_trees
 
 P0 = ReproductionLaw(0.04, 0.08, 0.08, 0.8)
 P1 = ReproductionLaw(0.15, 0.08, 0.08, 0.69)
 ALWAYS_BOTH = ReproductionLaw(0.0, 0.0, 0.0, 1.0)
 ALWAYS_NONE = ReproductionLaw(1.0, 0.0, 0.0, 0.0)
+# cumulative sums 0.25, 0.5, 0.75 and SHORT_TOP = 1 - 5e-13: a uniform can
+# reach past the last one
+SHORT = ReproductionLaw(0.25, 0.25, 0.25, 0.25 - 5e-13)
+SHORT_TOP = float(np.cumsum(SHORT.as_array())[3])
+HALF_EVEN = ReproductionLaw(0.0, 0.5, 0.0, 0.5)  # cumulative sums 0, 0.5, 0.5, 1
+
+
+@st.composite
+def reproduction_laws(draw):
+    """Laws with zero entries, and some whose cumulative sum ends at
+    1 - 5e-13, so that a uniform can land above every cumulative value."""
+    w = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=4, max_size=4)
+                      .filter(any)), dtype=float)
+    p = w / w.sum()
+    if draw(st.booleans()):
+        p[np.argmax(p)] -= 5e-13
+    return ReproductionLaw(*p)
+
+
+class FixedUniforms:
+    """A stand-in for ``np.random.Generator`` whose ``random`` hands out
+    the given uniforms in order, however the calls split them."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=float), 0
+
+    def random(self, size):
+        out = self.u[self.used : self.used + size]
+        self.used += size
+        return out
 
 
 class TestReproductionLaw:
@@ -102,6 +134,58 @@ class TestSimulateObservationTree:
         t1 = simulate_observation_tree(model, 6, replica_stream(11, 5))
         t2 = simulate_observation_tree(model, 6, replica_stream(11, 5))
         assert t1 == t2
+
+    @settings(max_examples=150, deadline=None)
+    @given(law0=reproduction_laws(), law1=reproduction_laws(), depth=st.integers(1, 12),
+           key=st.integers(0, 2**63 - 1))
+    def test_matches_generation_loop(self, law0, law1, depth, key):
+        # one draw for the whole tree keeps the per-generation stream layout:
+        # the same labels, and the stream left at the same place
+        model = GwModel(law0, law1)
+        ours, brute = replica_stream(key, depth), replica_stream(key, depth)
+        tree = simulate_observation_tree(model, depth, ours)
+        assert tree == brute_simulate_observation_tree(model, depth, brute)
+        assert ours.random() == brute.random()
+
+    @pytest.mark.parametrize("u,law,kept", [
+        (0.0, SHORT, (0, 0)),
+        (np.nextafter(0.25, 0.0), SHORT, (0, 0)),
+        (0.25, SHORT, (1, 0)),
+        (0.5, SHORT, (0, 1)),
+        (0.75, SHORT, (1, 1)),
+        (np.nextafter(SHORT_TOP, 0.0), SHORT, (1, 1)),
+        (SHORT_TOP, SHORT, (0, 1)),  # outcome 4, at or past every cumulative value
+        (np.nextafter(1.0, 0.0), SHORT, (0, 1)),
+        (0.0, HALF_EVEN, (1, 0)),
+        (np.nextafter(0.5, 0.0), HALF_EVEN, (1, 0)),
+        (0.5, HALF_EVEN, (1, 1)),
+    ])
+    def test_outcome_is_the_number_of_cumulative_values_at_or_below_u(self, u, law, kept):
+        # outcome 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1), 4 -> (0,1);
+        # mother 1 (the root, type 1) in a depth-1 tree, then mother 2
+        # (type 0, the root's only daughter) in a depth-2 tree
+        even_only = ReproductionLaw(0.0, 1.0, 0.0, 0.0)
+        for model, mother, uniforms in ((GwModel(SHORT, law), 1, [u]),
+                                        (GwModel(law, even_only), 2, [0.0, u, 0.0])):
+            depth = mother
+            rng = FixedUniforms(uniforms)
+            tree = simulate_observation_tree(model, depth, rng)
+            expected = list(range(1, mother + 1)) + [2 * mother + i for i in (0, 1) if kept[i]]
+            assert tree.observed_indices().tolist() == expected
+            assert rng.used == len(uniforms)
+            assert tree == brute_simulate_observation_tree(model, depth, FixedUniforms(uniforms))
+
+    def test_peak_memory_per_label_slot(self):
+        # a uniform per mother (4 bytes per slot) and a presence byte per
+        # slot; a (4, 2^depth) table of thresholds would take 32 bytes
+        depth = 18
+        tracemalloc.start()
+        try:
+            simulate_observation_tree(GwModel(P0, P1), depth, replica_stream(3, depth))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** (depth + 1)
 
     def test_growth_rate_matches_dominant_eigenvalue(self):
         # all entries of the descendants matrix are 0.88 -> pi = 1.76

@@ -65,12 +65,14 @@ class TestConfig:
             McConfig(which_test="gw_mean", gw_null=law, thresholds=(1.5,))
         with pytest.raises(ValueError, match="distinct"):
             McConfig(which_test="gw_mean", gw_null=law, thresholds=(0.05, 0.05))
+        with pytest.raises(ValueError, match="one or more"):  # a table with no rows
+            McConfig(which_test="gw_mean", gw_null=law, thresholds=())
         with pytest.raises(ValueError):
             McConfig(which_test="gw_mean", gw_null=law, generations=(9, 7))
         with pytest.raises(ValueError):
             McConfig(which_test="coefficient", gw_null=law)
 
-    @pytest.mark.parametrize("generations", [(4, 4), (7, 9, 9), (0, 3), (3, 31)])
+    @pytest.mark.parametrize("generations", [(4, 4), (7, 9, 9), (0, 3), (3, 31), ()])
     def test_generations_strictly_ascending_in_range(self, generations):
         law = GwModel(P0_LAW, P0_LAW)
         with pytest.raises(ValueError, match="strictly ascending"):
@@ -251,6 +253,24 @@ class TestEmitParse:
     def test_parse_rejects_unreadable_csv(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text)
+
+    @pytest.mark.parametrize("text,match", [
+        ('[{"generation": 7}]', r"""'{"generation": 7}': expected 7 fields"""),
+        ("[7]", "'7': expected 7 fields"),
+        ('[{"generation": null, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": 1.0,'
+         ' "n_used": 10, "n_extinct": 0, "n_degenerate": 0}]', '"generation": null.*: int()'),
+        ("{}", "list of row objects"),
+        ("[]", "no rows"),
+    ], ids=["missing-column", "not-an-object", "null-cell", "object", "empty-list"])
+    def test_parse_rejects_unreadable_json(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_table(text, fmt="json")
+
+    def test_parse_rejects_csv_without_rows(self):
+        with pytest.raises(ValueError, match="no rows"):
+            parse_table(emit_table(McTable((0.05,), {})))
+        with pytest.raises(ValueError, match=r"'7,H0,x,6.4,1000,12,0': could not convert"):
+            parse_table(emit_table(McTable((0.05,), {})) + "7,H0,x,6.4,1000,12,0\n")
 
     def test_round_trip_real_run(self):
         t = run_table(SMALL)
