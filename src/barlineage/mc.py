@@ -173,50 +173,47 @@ def bounded_workers(requested: int, replicas: int, cpus: int) -> int:
 
 
 def run_table(config: McConfig, workers: int | None = None) -> McTable:
-    """Run the whole grid.  ``workers`` > 1 fans replicas out per cell,
-    bounded by the CPUs this process may use and by ``replicas``."""
+    """Run the whole grid.  ``workers`` > 1, bounded by the CPUs this process
+    may use and by ``replicas``, runs one pool for the table: every cell's
+    contiguous replica spans are queued at once and read back in order."""
     if workers is None:
-        workers = int(os.environ.get("BARLINEAGE_WORKERS", "1"))
+        value = os.environ.get("BARLINEAGE_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ValueError(f"BARLINEAGE_WORKERS: not an integer: {value!r}") from None
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     workers = bounded_workers(workers, config.replicas, cpus)
-    cells, archives = {}, {}
-    for generation in config.generations:
-        for hypothesis in config.hypotheses:
-            outcomes = _run_cell(config, hypothesis, generation, workers)
-            pvals = np.array([o for o in outcomes if isinstance(o, float)])
-            n_extinct = outcomes.count(EXTINCT)
-            n_degenerate = outcomes.count(DEGENERATE)
-            if n_extinct + n_degenerate > config.replicas / 2:
-                raise TooManyDiscards(
-                    generation, hypothesis, n_extinct + n_degenerate, config.replicas
-                )
-            key = (generation, hypothesis)
-            cells[key] = McCell(
-                rejections=tuple(int((pvals < t).sum()) for t in config.thresholds),
-                n_used=len(pvals),
-                n_extinct=n_extinct,
-                n_degenerate=n_degenerate,
-            )
-            archives[key] = pvals
-    return McTable(tuple(config.thresholds), cells, archives)
-
-
-def _run_cell(config, hypothesis, generation, workers):
-    n = config.replicas
+    keys = [(g, h) for g in config.generations for h in config.hypotheses]
+    bounds = np.linspace(0, config.replicas, workers + 1).astype(int)
+    spans = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    jobs = [(config, h, g, *span) for g, h in keys for span in spans]
     if workers <= 1:
-        return [run_replica(config, hypothesis, generation, r) for r in range(n)]
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    jobs = [
-        (config, hypothesis, generation, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_cell_worker, jobs))
-    return [o for chunk in chunks for o in chunk]
+        return _tabulate(config, keys, len(spans), map(_cell_worker, jobs))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return _tabulate(config, keys, len(spans), pool.map(_cell_worker, jobs))
+    finally:  # after a raise, drop the queued spans rather than run them
+        pool.shutdown(cancel_futures=True)
+
+
+def _tabulate(config, keys, per_cell, chunks):
+    """Cells and archives from ``per_cell`` outcome chunks per key, in order;
+    the first cell that discards over half its replicas raises TooManyDiscards."""
+    cells, archives = {}, {}
+    for key in keys:
+        outcomes = [o for _ in range(per_cell) for o in next(chunks)]
+        pvals = np.array([o for o in outcomes if isinstance(o, float)])
+        n_extinct, n_degenerate = outcomes.count(EXTINCT), outcomes.count(DEGENERATE)
+        if n_extinct + n_degenerate > config.replicas / 2:
+            raise TooManyDiscards(*key, n_extinct + n_degenerate, config.replicas)
+        rejections = tuple(int((pvals < t).sum()) for t in config.thresholds)
+        cells[key] = McCell(rejections, len(pvals), n_extinct, n_degenerate)
+        archives[key] = pvals
+    return McTable(tuple(config.thresholds), cells, archives)
 
 
 # One row per cell x threshold: the CSV header and the JSON keys, with

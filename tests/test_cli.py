@@ -606,6 +606,14 @@ class TestMcCommand:
         assert captured.out == ""
         assert captured.err == f"error: {cfg}:3: {reason}\n"
 
+    @pytest.mark.parametrize("value", ["two", ""])
+    def test_bad_workers_env_var_is_named(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("BARLINEAGE_WORKERS", value)
+        assert main(["mc", "--table", "1", "--replicas", "4", "--generations", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: BARLINEAGE_WORKERS: not an integer: {value!r}\n"
+
     def test_matches_library_run(self, tmp_path, capsys):
         from barlineage import emit_table, run_table, table_config
 

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from barlineage import (
     run_table,
     table_config,
 )
-from barlineage import bar, gw
+from barlineage import bar, gw, mc
 from barlineage.mc import (
     DEGENERATE,
     EXTINCT,
@@ -29,6 +33,12 @@ from barlineage.mc import (
 from conftest import overflowing_leaves
 
 SMALL = table_config(1, replicas=40, generations=(7, 8), master_seed=5)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let ``workers=2`` start two workers whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 class TestConfig:
@@ -145,12 +155,30 @@ class TestRunTable:
     def test_bit_identical_across_runs(self):
         assert run_table(SMALL) == run_table(SMALL)
 
-    def test_bit_identical_across_worker_counts(self):
-        serial = run_table(SMALL, workers=1)
-        parallel = run_table(SMALL, workers=3)
+    @pytest.mark.parametrize("table", [1, 2, 3])
+    def test_bit_identical_across_worker_counts(self, two_cpus, table):
+        # 41 replicas on 2 workers: uneven spans of 20 and 21 per cell
+        cfg = table_config(table, replicas=41, generations=(7, 8), master_seed=5)
+        serial = run_table(cfg, workers=1)
+        parallel = run_table(cfg, workers=2)
         assert serial == parallel
+        assert list(serial.pvalues) == list(parallel.pvalues)
         for key in serial.pvalues:
             assert np.array_equal(serial.pvalues[key], parallel.pvalues[key])
+
+    @pytest.mark.parametrize("workers,pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_table(self, monkeypatch, two_cpus, workers, pools):
+        started = []
+
+        class CountingPool(mc.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        assert run_table(SMALL, workers=workers) == run_table(SMALL, workers=1)
+        assert len(started) == pools
+        assert multiprocessing.active_children() == []
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv("BARLINEAGE_WORKERS", "2")
@@ -187,17 +215,47 @@ class TestRunTable:
         se = np.sqrt(2 * 0.05 * 0.95 / 400)
         assert abs(p0 - p1) <= 3 * se
 
-    def test_too_many_discards(self):
+    def test_too_many_discards(self, two_cpus):
         weak = ReproductionLaw(0.7, 0.1, 0.1, 0.1)
         cfg = McConfig(
             which_test="gw_mean",
             gw_null=GwModel(weak, weak),
-            generations=(8,),
+            generations=(8, 9),
             replicas=40,
             master_seed=2,
         )
-        with pytest.raises(TooManyDiscards):
-            run_table(cfg)
+        with pytest.raises(TooManyDiscards) as serial:
+            run_table(cfg, workers=1)
+        with pytest.raises(TooManyDiscards) as pooled:
+            run_table(cfg, workers=2)
+        assert str(pooled.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched replica reaches only forked workers")
+    @pytest.mark.parametrize("failure", [TooManyDiscards, RuntimeError])
+    def test_failing_cell_cancels_the_queued_spans(self, monkeypatch, tmp_path, two_cpus,
+                                                    failure):
+        log = tmp_path / "calls"
+        log.touch()
+
+        def replica(config, hypothesis, generation, replica_id):
+            if (generation, hypothesis) != (7, "H0"):
+                time.sleep(0.05)
+                with open(log, "a") as f:
+                    f.write(".\n")
+            elif failure is RuntimeError:
+                raise RuntimeError(f"replica {replica_id} failed")
+            return EXTINCT
+
+        monkeypatch.setattr(mc, "run_replica", replica)
+        cfg = table_config(1, replicas=4, generations=(7, 8, 9, 10, 11), master_seed=5)
+        with pytest.raises(failure):
+            run_table(cfg, workers=2)
+        # 18 spans of 2 replicas queue behind the failing cell; only those
+        # already handed to the workers may still run
+        assert len(log.read_text().splitlines()) < 20
+        assert multiprocessing.active_children() == []
 
 
 def toy_table(thresholds=(0.05, 0.01)):
