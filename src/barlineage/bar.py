@@ -19,15 +19,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateVariance, NearUnitRoot, Singular, SingularDesign
-from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, invert
+from .errors import DegenerateVariance, NearUnitRoot, SingularDesign
+from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
 from .report import TestReport
 from .tree import ObservationTree, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
-
-# gradient of (a - c, b - d) w.r.t. (a, b, c, d), one column per component
-COEFF_GRADIENT = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,13 @@ class SufficientStats:
     @cached_property
     def design_inverse(self) -> np.ndarray:
         """Inverses of s0 and s1 as a (2, 2, 2) stack, computed on first use."""
-        try:
-            return invert(np.stack([self.s0, self.s1]))
-        except Singular as exc:
-            raise SingularDesign(exc.index, exc.cond) from exc
+        adj, det, lmax = symmetric_2x2(np.stack([self.s0, self.s1]))
+        # the condition number is lmax^2 / det; a nan or inf moment fails too
+        ok = (0 < det) & (det < np.inf) & (lmax * lmax <= MAX_COND * det)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise SingularDesign(i, lmax[i] ** 2 / det[i] if 0 < det[i] < np.inf else np.inf)
+        return adj / det[:, None, None]
 
 
 def _daughters(x: np.ndarray, tree: ObservationTree):
@@ -239,18 +239,17 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: fl
     """Sandwich covariance of sqrt(|T*_{n-1}|) (theta_hat - theta).
 
     C = |T*| Sigma^-1 Gamma_hat |T*| Sigma^-1 with Sigma = blockdiag(S0, S1)
-    and Gamma_hat = |T*|^-1 [[s2 S0, rho S01], [rho S01, s2 S1]].
+    and Gamma_hat = |T*|^-1 [[s2 S0, rho S01], [rho S01, s2 S1]], whose
+    blocks are t s2 S0^-1, t s2 S1^-1 and t rho S0^-1 S01 S1^-1.
     """
     t = stats.counts[0]
-    gamma = np.zeros((4, 4))
-    gamma[:2, :2] = sigma2_hat * stats.s0
-    gamma[2:, 2:] = sigma2_hat * stats.s1
-    gamma[:2, 2:] = rho_hat * stats.s01
-    gamma[2:, :2] = rho_hat * stats.s01
-    sig_inv = np.zeros((4, 4))
-    sig_inv[:2, :2], sig_inv[2:, 2:] = stats.design_inverse
-    c = t * sig_inv @ gamma @ sig_inv
-    return 0.5 * (c + c.T)  # symmetrize away roundoff
+    inv0, inv1 = stats.design_inverse
+    c = np.empty((4, 4))
+    c[:2, :2] = (t * sigma2_hat) * inv0
+    c[2:, 2:] = (t * sigma2_hat) * inv1
+    c[:2, 2:] = (t * rho_hat) * (inv0 @ stats.s01 @ inv1)
+    c[2:, :2] = c[:2, 2:].T
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,17 +288,15 @@ def _base_estimates(est: BarEstimate) -> dict:
 
 def coefficient_test(est: BarEstimate) -> TestReport:
     """Wald test of (a, b) = (c, d), chi-square with 2 df."""
-    t = est.counts[0]
-    delta_c = COEFF_GRADIENT.T @ est.cov @ COEFF_GRADIENT
-    eigs = np.linalg.eigvalsh(0.5 * (delta_c + delta_c.T))
-    # eigvalsh may return finite eigenvalues for a matrix with a nan entry,
-    # so the entries are checked; the negated bounds reject nan eigenvalues
-    finite = np.isfinite(delta_c).all()
-    if not (finite and VARIANCE_FLOOR < eigs[0] and eigs[1] <= MAX_COND * eigs[0]):
-        raise DegenerateVariance(f"coefficient-difference covariance eigenvalues {eigs}")
-    diff = np.array([est.theta[0] - est.theta[2], est.theta[1] - est.theta[3]])
-    # the eigenvalue bound above is the conditioning check
-    statistic = float(t * diff @ np.linalg.inv(delta_c) @ diff)
+    t, c = est.counts[0], est.cov
+    # the covariance of (a - c, b - d), C00 + C11 - (C01 + C10)
+    adj, det, lmax = symmetric_2x2((c[:2, :2] + c[2:, 2:]) - (c[:2, 2:] + c[2:, :2]))
+    # VARIANCE_FLOOR < lmin = det / lmax and lmax <= MAX_COND * lmin, without
+    # dividing; the negated test rejects nan and inf
+    if not (0 < lmax and VARIANCE_FLOOR * lmax < det and lmax * lmax <= MAX_COND * det):
+        raise DegenerateVariance(f"covariance of (a - c, b - d): lmax {lmax:.3g}, det {det:.3g}")
+    diff = est.theta[:2] - est.theta[2:]
+    statistic = float(t * (diff @ adj @ diff) / det)
     return TestReport(
         test="coefficient",
         statistic=statistic,

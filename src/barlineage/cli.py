@@ -16,9 +16,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bar, gw, mc
-from .errors import BarLineageError, StatError
-from .lineage_io import emit_lineage, ingest
+from .errors import BarLineageError, DegenerateVariance, ParseError, StatError
+from .lineage_io import emit_lineage, ingest, read_text
 from .numerics import replica_stream
 
 EXIT_OK = 0
@@ -134,6 +136,8 @@ def _gw_block(tree, values) -> dict:
 
 def _bar_block(tree, values) -> dict:
     est = bar.estimate_bar(values, tree)
+    if not np.isfinite([*est.theta, est.sigma2_hat, est.rho_hat, *est.cov.flat]).all():
+        raise DegenerateVariance("the BAR estimates are not all finite")
     a, b, c, d = est.theta
     return {
         "a": a, "b": b, "c": c, "d": d,
@@ -156,7 +160,7 @@ def _cmd_estimate(args) -> int:
         except StatError as exc:
             out[key] = _error_json(exc)
             code = EXIT_DEGENERATE
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return code
 
 
@@ -167,7 +171,7 @@ def _cmd_test(args) -> int:
     except StatError as exc:
         print(json.dumps(_error_json(exc)))
         return EXIT_DEGENERATE
-    print(json.dumps(report.to_json_dict(), indent=2))
+    print(json.dumps(report.to_json_dict(), indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -219,8 +223,12 @@ _CONFIG_KEYS = {
 
 def _config_from_file(path: str) -> dict:
     """McConfig fields from a flat key=value file (laws/models as comma lists)."""
+    try:
+        text = read_text(path)
+    except ParseError as exc:
+        raise BarLineageError(f"{path}:{exc.line_no}: {exc.detail}") from None
     fields, line_of = {}, {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -283,7 +291,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # a non-finite value ends in a named StatError; numpy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except StatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

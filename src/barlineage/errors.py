@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Tree construction errors carry the offending cell label; numerical
-errors carry whatever diagnostic the caller needs to decide whether the
-data set is salvageable (condition estimates, denominators).
+Tree construction errors carry the offending cell label; statistical
+errors carry whatever the caller needs to decide whether the data set is
+salvageable (a design block's closed-form condition number, a denominator).
 """
 
 
@@ -64,13 +64,11 @@ class DegenerateVariance(StatError):
 
 
 class SingularDesign(StatError):
-    def __init__(self, cell_type, cond=None):
+    def __init__(self, cell_type, cond):
         self.cell_type = cell_type
         self.cond = cond
-        super().__init__(
-            f"design matrix for type {cell_type} daughters is numerically singular"
-            + (f" (cond ~ {cond:.3g})" if cond is not None else "")
-        )
+        super().__init__(f"design matrix for type {cell_type} daughters is numerically "
+                         f"singular (cond ~ {cond:.3g})")
 
 
 class NearUnitRoot(StatError):
@@ -79,17 +77,10 @@ class NearUnitRoot(StatError):
         super().__init__(f"1 - {which} = {value:.3g} too close to 0 for the fixed-point test")
 
 
-class Singular(BarLineageError):
-    def __init__(self, cond, index=None):
-        self.cond = cond
-        self.index = index  # flat position in a stack of matrices, if any
-        which = "matrix" if index is None else f"matrix {index} of the stack"
-        super().__init__(f"{which} numerically singular (condition estimate {cond:.3g})")
-
-
 class ParseError(BarLineageError):
     def __init__(self, line_no, detail):
         self.line_no = line_no
+        self.detail = detail
         super().__init__(f"line {line_no}: {detail}")
 
 

@@ -29,7 +29,7 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
     holds one; a file-wide defect (no header, no root, a label or depth
     beyond MAX_DEPTH, an orphan) only when no line does.
     """
-    lines = list(map(str.strip, _read_text(path).split("\n")))
+    lines = list(map(str.strip, read_text(path).split("\n")))
     depth_hint, bad_comment = _depth_hint(lines)
     if bad_comment is not None:
         # it is the file's error unless a line above it has one
@@ -57,7 +57,7 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
     return tree, ValueTree(depth, x_obs, tree.observed_indices())
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     """The file as text, with universal newlines (``\\r\\n`` and ``\\r`` read as ``\\n``)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:

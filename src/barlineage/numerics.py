@@ -1,5 +1,5 @@
-"""Numerical kernels: small matrix inversion, chi-square tails, and
-reproducible random streams.
+"""Numerical kernels: closed forms for symmetric 2x2 matrices,
+chi-square tails, and reproducible random streams.
 
 Random stream contract: streams are built on numpy's Philox counter
 generator, keyed by a splitmix64 fold of (master_seed, *subkeys).  The
@@ -23,13 +23,12 @@ import math
 
 import numpy as np
 
-from .errors import Singular
-
 MAX_COND = 1e12
 # a variance at or below this is treated as zero by every Wald test
 VARIANCE_FLOOR = 1e-14
 
 _MASK64 = (1 << 64) - 1
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _splitmix64(x: int) -> int:
@@ -49,21 +48,14 @@ def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def invert(m) -> np.ndarray:
-    """Inverse of a small dense matrix, or of each matrix of a (..., k, k)
-    stack, refusing ill-conditioned input.  For a stack, ``Singular.index``
-    is the flat position of the first ill-conditioned matrix."""
-    m = np.asarray(m, dtype=float)
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    # a matrix with a nan or inf entry is singular; it is zeroed before
-    # the SVD, which raises LinAlgError on nan
-    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], m, 0.0)), np.inf)
-    cond = cond.ravel()
-    bad = np.flatnonzero(~(cond <= MAX_COND))  # nan fails the comparison too
-    if bad.size:
-        c = cond[bad[0]]
-        raise Singular(c if np.isfinite(c) else np.inf, int(bad[0]) if m.ndim > 2 else None)
-    return np.linalg.inv(m)
+def symmetric_2x2(m: np.ndarray):
+    """(adjugate, determinant, largest eigenvalue) of each symmetric
+    [[p, q], [q, r]] of a (..., 2, 2) stack, in closed form.  The inverse
+    is adj / det, the condition number lmax^2 / det; the caller divides
+    only after its conditioning check, so a singular matrix warns of nothing."""
+    p, q, r = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+    adj = m[..., ::-1, ::-1] * _ADJ_SIGNS
+    return adj, p * r - q * q, 0.5 * (p + r + np.hypot(p - r, 2.0 * q))
 
 
 def chi2_sf(x: float, df: int) -> float:

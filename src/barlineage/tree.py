@@ -132,12 +132,16 @@ class ObservationTree:
 
     @classmethod
     def from_indices(cls, depth: int, observed) -> "ObservationTree":
-        """The tree of the given labels, in any order; repeats count once."""
+        """The tree of the given labels, in any order; repeats count once.
+        A label that is not an integer raises ValueError."""
         check_depth(depth)
-        if isinstance(observed, np.ndarray):
-            labels = np.sort(observed.astype(np.int64))
-        else:
-            labels = np.sort(np.fromiter(observed, dtype=np.int64))
+        if not isinstance(observed, np.ndarray):
+            observed = np.array(list(observed))
+        if observed.dtype.kind == "f":
+            bad = observed[~(np.isfinite(observed) & (observed == np.trunc(observed)))]
+            if bad.size:
+                raise ValueError(f"cell label {bad[0]} is not an integer")
+        labels = np.sort(observed.astype(np.int64))
         first = np.ones(labels.size, dtype=bool)  # a repeat is not the first of its run
         first[1:] = labels[1:] != labels[:-1]
         return cls(depth, labels[first])

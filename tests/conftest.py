@@ -8,7 +8,9 @@ all 2^(depth+1) labels.
 
 The dense_* functions are the earlier array implementation, which kept
 every tree as such dense arrays; the label-based library must agree
-with them bit for bit.
+with them bit for bit.  The lapack_* functions are the BAR fit and
+coefficient test as they were before the 2x2 closed forms: an SVD
+condition number and LAPACK inverses.
 """
 
 import math
@@ -17,9 +19,18 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from barlineage import ObservationTree, ValueTree
-from barlineage.errors import DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
+from barlineage import ObservationTree, ValueTree, residual_noise_estimates, sufficient_stats
+from barlineage.bar import BarEstimate
+from barlineage.errors import (
+    DegenerateVariance,
+    DuplicateIndex,
+    IndexOutOfRange,
+    MissingRoot,
+    ParseError,
+    SingularDesign,
+)
 from barlineage.lineage_io import HEADER
+from barlineage.numerics import MAX_COND, VARIANCE_FLOOR
 from barlineage.tree import MAX_DEPTH, generation
 
 
@@ -137,6 +148,53 @@ def brute_sandwich(s0, s1, s01, t_star, sigma2, rho):
     gamma = np.block([[sigma2 * s0, rho * s01], [rho * s01, sigma2 * s1]]) / t_star
     si = np.linalg.inv(sigma)
     return (t_star * si) @ gamma @ (t_star * si)
+
+
+# ------------------------------------------- LAPACK in place of the 2x2 closed forms
+
+def lapack_inverse(m):
+    """Inverse of each matrix of a (..., k, k) stack by LAPACK ``inv``,
+    after an SVD condition number check: SingularDesign names the first
+    matrix whose condition number exceeds MAX_COND or is not finite."""
+    m = np.asarray(m, dtype=float)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    # the SVD raises LinAlgError on nan, so a non-finite matrix is zeroed first
+    cond = np.where(finite, np.linalg.cond(np.where(finite[..., None, None], m, 0.0)), np.inf)
+    cond = cond.ravel()
+    bad = np.flatnonzero(~(cond <= MAX_COND))
+    if bad.size:
+        raise SingularDesign(int(bad[0]), cond[bad[0]])
+    return np.linalg.inv(m)
+
+
+def lapack_estimate(values, tree):
+    """estimate_bar with the design blocks inverted by ``lapack_inverse``
+    and the sandwich taken as one 4x4 product (``brute_sandwich``)."""
+    s = sufficient_stats(values, tree)
+    inv0, inv1 = lapack_inverse(np.stack([s.s0, s.s1]))
+    theta = np.concatenate([inv0 @ s.rhs[:2], inv1 @ s.rhs[2:]])
+    noise = residual_noise_estimates(values, tree, theta)
+    cov = brute_sandwich(s.s0, s.s1, s.s01, s.counts[0], noise.sigma2_hat, noise.rho_hat)
+    return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, s.counts)
+
+
+def coefficient_covariance(cov):
+    """The covariance of (a - c, b - d) as G^T cov G, G the gradient."""
+    grad = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return grad.T @ cov @ grad
+
+
+def lapack_coefficient_statistic(est):
+    """coefficient_test's statistic from ``eigvalsh`` and LAPACK ``inv``
+    of the covariance of (a - c, b - d), with the same floor and
+    conditioning rule."""
+    delta_c = coefficient_covariance(est.cov)
+    eigs = np.linalg.eigvalsh(0.5 * (delta_c + delta_c.T))
+    if not (np.isfinite(delta_c).all() and VARIANCE_FLOOR < eigs[0]
+            and eigs[1] <= MAX_COND * eigs[0]):
+        raise DegenerateVariance(f"eigenvalues {eigs}")
+    diff = est.theta[:2] - est.theta[2:]
+    return float(est.counts[0] * diff @ np.linalg.inv(delta_c) @ diff)
 
 
 # ------------------------------------------- the earlier dense arrays

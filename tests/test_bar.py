@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barlineage import (
@@ -24,17 +24,33 @@ from barlineage import (
     sufficient_stats,
 )
 from barlineage.bar import BarEstimate, SufficientStats
-from barlineage.errors import DegenerateVariance, DepthError, NearUnitRoot, SingularDesign
+from barlineage.errors import (
+    DegenerateVariance,
+    DepthError,
+    NearUnitRoot,
+    SingularDesign,
+    StatError,
+)
+from barlineage.numerics import MAX_COND, VARIANCE_FLOOR
 
 from conftest import (
     brute_noise,
     brute_sandwich,
     brute_simulate_bar_values,
     brute_sufficient_stats,
+    coefficient_covariance,
+    lapack_coefficient_statistic,
+    lapack_estimate,
     overflowing_leaves,
+    presence_arrays,
     random_tree,
     random_values,
+    tree_of,
 )
+
+# the closed forms check before they divide: a singular design or a
+# degenerate variance raises its named error and no numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 P0 = ReproductionLaw(0.04, 0.08, 0.08, 0.8)
 ZERO_NOISE = BarModel(1.0, 0.5, 2.0, 0.25, 0.0, 0.0)
@@ -161,15 +177,16 @@ class TestSufficientStats:
         assert np.allclose(s.rhs, [1.0, 3.0, 2.0, 6.0])
 
     def test_no_odd_daughters(self):
-        tree = ObservationTree.from_indices(2, {1, 2, 4})
-        v = random_values(2, np.random.default_rng(0))
-        s = sufficient_stats(v, tree)
-        assert (s.s1 == 0).all()
-        assert s.rhs[2] == 0 and s.rhs[3] == 0
-        # only the odd block is singular, and only a fit reads it
-        with pytest.raises(SingularDesign) as exc:
-            ls_estimate(s)
-        assert exc.value.cell_type == 1
+        for depth in (2, 5):  # chains of even daughters: 1, 2, 4, ...
+            tree = ObservationTree.from_indices(depth, [1 << g for g in range(depth + 1)])
+            v = random_values(depth, np.random.default_rng(0))
+            s = sufficient_stats(v, tree)
+            assert (s.s1 == 0).all()
+            assert s.rhs[2] == 0 and s.rhs[3] == 0
+            # only the odd block is singular, and only a fit reads it
+            with pytest.raises(SingularDesign) as exc:
+                ls_estimate(s)
+            assert exc.value.cell_type == 1
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
@@ -222,12 +239,21 @@ class TestLsEstimate:
             ls_estimate(sufficient_stats(v, tree))
         assert exc.value.cell_type == 0  # both blocks are singular: block 0 is named
 
+    def test_infinite_moment_is_singular(self):
+        # det = 2 * inf is inf: only the finiteness bound rejects it
+        s = SufficientStats(np.array([[2.0, 0.0], [0.0, np.inf]]), 3.0 * np.eye(2),
+                            np.eye(2), np.zeros(4), (3, 1, 5))
+        with pytest.raises(SingularDesign) as exc:
+            ls_estimate(s)
+        assert exc.value.cell_type == 0 and exc.value.cond == np.inf
+
     def test_design_inverse_matches_each_block(self, rng):
         tree = random_tree(5, rng)
         s = sufficient_stats(random_values(5, rng), tree)
         assert s.design_inverse.shape == (2, 2, 2)
-        assert np.array_equal(s.design_inverse[0], np.linalg.inv(s.s0))
-        assert np.array_equal(s.design_inverse[1], np.linalg.inv(s.s1))
+        for inv, block in zip(s.design_inverse, (s.s0, s.s1)):
+            ref = np.linalg.inv(block)
+            assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
         assert s.design_inverse is s.design_inverse  # computed once
 
     @pytest.mark.slow
@@ -482,3 +508,128 @@ class TestEndToEndProperties:
         predicted = np.mean(np.array(diags), axis=0)
         ratio = predicted / empirical
         assert ((ratio > 0.7) & (ratio < 1.4)).all()
+
+
+def _outcome(f, *args):
+    """f(*args), or the StatError it raises."""
+    try:
+        return f(*args)
+    except StatError as exc:
+        return exc
+
+
+def _kind(outcome):
+    """The StatError class of an outcome, None for a value."""
+    return type(outcome) if isinstance(outcome, StatError) else None
+
+
+# the closed-form and SVD condition numbers of one shifted design differ
+# by up to 6e-6 relative near MAX_COND, so a decision this close to a
+# bound may go either way
+BOUNDARY = 1e-4
+
+
+def _near(x, bound):
+    return abs(x / bound - 1.0) <= BOUNDARY
+
+
+class TestClosedFormsMatchLapack:
+    """The 2x2 closed forms against LAPACK inversion (conftest's lapack_*).
+
+    Both lose about log10(cond) digits of the design blocks, each to its
+    own roundoff, so values agree to 1e-12 relative on well-conditioned
+    designs and to a bound that grows with the condition number beyond.
+    """
+
+    @staticmethod
+    def tolerance(stats):
+        cond = max(np.linalg.cond(stats.s0), np.linalg.cond(stats.s1))
+        return max(1e-12, 64 * np.finfo(float).eps * cond)
+
+    @staticmethod
+    def values(tree, seed, log_cond=None):
+        """Normal traits; with ``log_cond``, shifted so that the type-0
+        mothers have mean beta, which makes that design's condition
+        number about beta^4 / variance = 10^log_cond."""
+        x = np.random.default_rng(seed).normal(size=1 << (tree.depth + 1))
+        if log_cond is not None:
+            xm0 = x[tree.observed_indices()[tree.daughter_positions()[0][0]]]
+            x += (10.0 ** log_cond * xm0.var()) ** 0.25 - xm0.mean()
+        return ValueTree(tree.depth, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tree=presence_arrays(min_depth=2, max_depth=7),
+        seed=st.integers(0, 2**32 - 1),
+        log_cond=st.none() | st.floats(10.0, 14.0),
+    )
+    def test_same_outcomes_and_values(self, tree, seed, log_cond):
+        tree = tree_of(*tree)
+        # at most two daughters of a type fit exactly: the noise estimate
+        # is then roundoff, and so is every decision against the floor
+        by_type = tree.daughter_positions()
+        assume(min(d.size for _, d in by_type) >= 3)
+        values = self.values(tree, seed, log_cond)
+        stats = sufficient_stats(values, tree)
+        ref = _outcome(lapack_estimate, values, tree)
+        est = _outcome(estimate_bar, values, tree)
+        if any(_near(np.linalg.cond(m), MAX_COND) for m in (stats.s0, stats.s1)):
+            return
+        assert _kind(est) == _kind(ref)
+        if isinstance(ref, SingularDesign):
+            assert est.cell_type == ref.cell_type
+            return
+        tol = self.tolerance(stats)
+        assert np.abs(est.theta - ref.theta).max() <= tol * np.abs(ref.theta).max()
+        assert np.abs(est.cov - ref.cov).max() <= tol * np.abs(ref.cov).max()
+
+        eigs = np.linalg.eigvalsh(coefficient_covariance(ref.cov))
+        pairs = [
+            (coefficient_test, lapack_coefficient_statistic, eigs[0] > 0 and (
+                _near(eigs[0], VARIANCE_FLOOR) or _near(eigs[1] / eigs[0], MAX_COND))),
+            (fixed_point_test, lambda e: fixed_point_test(e).statistic, False),
+        ]
+        for test, reference, near_bound in pairs:
+            got, want = _outcome(test, est), _outcome(reference, ref)
+            if near_bound:
+                continue
+            assert _kind(got) == _kind(want)
+            if _kind(want) is None:
+                # relative, and absolute below 1: a statistic near 0 is a
+                # difference that cancels
+                assert abs(got.statistic - want) <= tol * (1.0 + want)
+
+    def test_design_bound_matches_svd(self):
+        tree = full_tree(4)
+        kinds = set()
+        for log_cond in np.linspace(11.99, 12.01, 41):
+            values = self.values(tree, 3, log_cond)
+            stats = sufficient_stats(values, tree)
+            cond = np.linalg.cond(stats.s0)
+            if _near(cond, MAX_COND):
+                continue
+            est = _outcome(estimate_bar, values, tree)
+            assert isinstance(est, SingularDesign) == (cond > MAX_COND), cond
+            kinds.add(type(est))
+        assert kinds == {BarEstimate, SingularDesign}
+
+    @pytest.mark.parametrize("lmax,lmin", [
+        (1.0, 1.0 / np.logspace(11.99, 12.01, 41)),
+        (1e-9, VARIANCE_FLOOR * np.logspace(-0.01, 0.01, 41)),
+    ], ids=["MAX_COND", "VARIANCE_FLOOR"])
+    def test_coefficient_bounds_match_eigvalsh(self, lmax, lmin):
+        c, s = np.cos(0.3), np.sin(0.3)
+        rot = np.array([[c, -s], [s, c]])
+        kinds = set()
+        for lo in lmin:
+            # C00 alone: the covariance of (a - c, b - d) is this block
+            cov = np.zeros((4, 4))
+            cov[:2, :2] = rot @ np.diag([lmax, lo]) @ rot.T
+            eigs = np.linalg.eigvalsh(cov[:2, :2])
+            if _near(eigs[0], VARIANCE_FLOOR) or _near(eigs[1] / eigs[0], MAX_COND):
+                continue
+            est = make_estimate([0.1, 0.2, 0.3, 0.4], cov)
+            got, want = _outcome(coefficient_test, est), _outcome(lapack_coefficient_statistic, est)
+            assert _kind(got) == _kind(want), lo
+            kinds.add(_kind(got))
+        assert kinds == {None, DegenerateVariance}

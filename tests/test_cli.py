@@ -30,6 +30,13 @@ from barlineage.errors import (
 
 from conftest import brute_ingest, observation_trees, overflowing_leaves
 
+# every non-finite value ends in a named error: no numpy warning may reach stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -396,6 +403,18 @@ class TestEstimate:
             assert code == 0
         assert abs(peaks[30] - peaks[10]) < 2048  # kB
 
+    @pytest.mark.parametrize("command", [["estimate"], ["test", "--which", "coeff"],
+                                         ["test", "--which", "fixed"]],
+                             ids=["estimate", "test-coeff", "test-fixed"])
+    def test_overflowing_fit_is_degenerate_json(self, tmp_path, capsys, command):
+        # the residual squares overflow: sigma2 is inf and the covariance nan
+        path = write(tmp_path, emit_lineage(*overflowing_leaves()))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out, parse_constant=_reject_constant)
+        assert out.get("bar", out)["error"] == "DegenerateVariance"
+        assert captured.err == ""
+
     def test_depth_one_has_no_gw_block(self, tmp_path, capsys):
         path = write(tmp_path, "index,value\n1,1.0\n2,0.5\n3,0.25\n")
         assert main(["estimate", str(path)]) == 2
@@ -509,16 +528,14 @@ class TestBatch:
     def test_non_finite_statistic_prints_nan(self, tmp_path, capsys, which, test):
         tree, values = overflowing_leaves()
         write(tmp_path, emit_lineage(tree, values), name="leaves.csv")
-        with np.errstate(all="ignore"):
-            assert main(["batch", str(tmp_path), "--which", which]) == 0
+        assert main(["batch", str(tmp_path), "--which", which]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [f"leaves.csv,{test},nan"]
         assert "variance is degenerate" in captured.err
 
     def test_nan_moments_print_nan(self, tmp_path, capsys):
         write(tmp_path, CANCELLING, name="cancel.csv")
-        with np.errstate(all="ignore"):
-            assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
+        assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == ["cancel.csv,fixed_point,nan"]
         assert "singular" in captured.err
@@ -598,9 +615,12 @@ class TestMcCommand:
          "which_test: must be one of ('gw_mean', 'coefficient', 'fixed_point')"),
         ("generations = 9,7", "generations: must be one or more, strictly ascending within 1..30"),
         ("thresholds = 1.5", "thresholds: must be one or more distinct values in (0, 1)"),
+        # the byte 0xff, which is not UTF-8
+        ("replicas = 5\udcff", "not UTF-8 (invalid start byte)"),
     ])
     def test_bad_config_value_names_its_line(self, tmp_path, capsys, line, reason):
-        cfg = write(tmp_path, f"# tiny run\ngenerations = 7\n{line}\n", name="mc.cfg")
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_bytes(f"# tiny run\ngenerations = 7\n{line}\n".encode("utf-8", "surrogateescape"))
         assert main(["mc", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -3,56 +3,24 @@ import pytest
 import scipy.stats
 
 from barlineage import chi2_sf, replica_stream
-from barlineage.errors import Singular
-from barlineage.numerics import gaussian_pair, invert
+from barlineage.numerics import gaussian_pair, symmetric_2x2
 
 
-class TestInvert:
-    def test_identity(self):
-        assert np.allclose(invert(np.eye(4)), np.eye(4))
+class TestSymmetric2x2:
+    def test_matches_lapack_on_a_stack(self, rng):
+        a = rng.normal(size=(3, 5, 2, 2))
+        m = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(2)
+        adj, det, lmax = symmetric_2x2(m)
+        assert adj.shape == m.shape and det.shape == lmax.shape == (3, 5)
+        inv = np.linalg.inv(m)
+        assert np.abs(adj / det[..., None, None] - inv).max() <= 1e-12 * np.abs(inv).max()
+        assert np.allclose(det, np.linalg.det(m), rtol=1e-12)
+        assert np.allclose(lmax, np.linalg.eigvalsh(m)[..., 1], rtol=1e-12)
 
-    def test_diagonal(self):
-        assert np.allclose(invert([[2.0, 0.0], [0.0, 4.0]]), [[0.5, 0.0], [0.0, 0.25]])
-
-    def test_spd_round_trip(self, rng):
-        a = rng.normal(size=(4, 4))
-        m = a @ a.T + 4 * np.eye(4)
-        assert np.abs(m @ invert(m) - np.eye(4)).max() < 1e-9
-
-    def test_round_trip_many_random_fixtures(self, rng):
-        for _ in range(1000):
-            n = rng.choice([2, 4])
-            m = rng.normal(size=(n, n)) + 3 * np.eye(n)
-            if np.linalg.cond(m) > 1e6:
-                continue
-            assert np.abs(m @ invert(m) - np.eye(n)).max() < 1e-9
-
-    def test_singular_raises(self):
-        with pytest.raises(Singular) as exc:
-            invert([[1.0, 1.0], [1.0, 1.0]])
-        assert exc.value.index is None
-
-    def test_stack_is_bit_equal_to_each_matrix(self, rng):
-        for n in (2, 4):
-            stack = rng.normal(size=(50, n, n)) + 3 * np.eye(n)
-            stack = stack[np.linalg.cond(stack) < 1e6]
-            inv = invert(stack)
-            for m, m_inv in zip(stack, inv):
-                assert np.array_equal(invert(m), m_inv)
-
-    @pytest.mark.parametrize("bad,first", [((1,), 1), ((0, 1), 0), ((2, 0), 0)])
-    def test_stack_names_the_first_singular_matrix(self, bad, first):
-        stack = np.stack([np.eye(2)] * 3)
-        for i in bad:
-            stack[i] = [[1.0, 1.0], [1.0, 1.0]]
-        with pytest.raises(Singular) as exc:
-            invert(stack)
-        assert exc.value.index == first
-        assert exc.value.cond == np.inf or exc.value.cond > 1e12
-
-    def test_nan_entry_is_singular(self):
-        with pytest.raises(Singular):
-            invert(np.stack([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+    def test_singular_matrix_has_zero_determinant(self):
+        adj, det, lmax = symmetric_2x2(np.array([[1.0, 3.0], [3.0, 9.0]]))
+        assert det == 0.0 and lmax == 10.0
+        assert np.array_equal(adj, [[9.0, -3.0], [-3.0, 1.0]])
 
 
 class TestChi2Sf:

@@ -83,6 +83,20 @@ class TestValidate:
         assert tree.observed_indices().tolist() == [1, 2, 3]
         assert tree.counts().t_star[2] == 3
 
+    @pytest.mark.parametrize("labels,bad", [
+        (np.array([1.0, 2.7, 3.2]), "2.7"),
+        ([1, 2.9, 3], "2.9"),
+        ([1, 2, float("nan")], "nan"),
+    ])
+    def test_non_integral_label_is_named(self, labels, bad):
+        with pytest.raises(ValueError, match=f"cell label {bad} is not an integer"):
+            ObservationTree.from_indices(2, labels)
+
+    def test_integral_labels_of_any_type(self):
+        for labels in (np.array([3.0, 1.0, 2.0]), [3, 1, 2], range(1, 4), {1: 0.5, 2: 0, 3: 0},
+                       np.array([3, 1, 2], dtype=np.uint8)):
+            assert ObservationTree.from_indices(1, labels).observed_indices().tolist() == [1, 2, 3]
+
     def test_labels_must_ascend(self):
         for labels in ([1, 3, 2], [1, 2, 2]):
             with pytest.raises(ValueError):
