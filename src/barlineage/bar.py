@@ -14,7 +14,7 @@ c/(1-d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,14 +22,14 @@ import numpy as np
 from .errors import DegenerateVariance, NearUnitRoot, SingularDesign
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
 from .report import TestReport
-from .tree import ObservationTree, check_depth, mirror
+from .tree import ObservationTree, as_labels, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
 class BarModel:
-    """Generative parameters (a, b, c, d, sigma2, rho).
+    """Generative parameters (a, b, c, d, sigma2, rho), all finite.
 
     sigma2 = 0 is admitted for exact-recovery fixtures even though the
     statistical theory needs sigma2 > 0.
@@ -43,6 +43,8 @@ class BarModel:
     rho: float
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError(f"model parameters must be finite, got {astuple(self)}")
         if not 0.0 < max(abs(self.b), abs(self.d)) < 1.0:
             raise ValueError(f"need 0 < max(|b|, |d|) < 1, got b={self.b}, d={self.d}")
         if self.sigma2 < 0:
@@ -66,7 +68,7 @@ class ValueTree:
     With ``labels`` None, ``x`` holds every cell of the full tree and
     x[k] is the trait of cell k (entry 0 unused): the simulator's draw.
     Otherwise ``x[i]`` is the trait of cell ``labels[i]``, the labels
-    ascending: the cells a file lists.
+    integers, ascending and inside the tree: the cells a file lists.
     """
 
     depth: int
@@ -80,11 +82,9 @@ class ValueTree:
                 raise ValueError(f"x must have length 2^(depth+1) = {1 << (self.depth + 1)}")
             cells = x[1:]
         else:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = as_labels(self.labels, self.depth)
             if x.shape != labels.shape:
                 raise ValueError("x must hold one trait per label")
-            if (labels[1:] <= labels[:-1]).any():
-                raise ValueError("labels must be strictly ascending")
             object.__setattr__(self, "labels", labels)
             cells = x
         if not np.isfinite(cells).all():
@@ -175,10 +175,11 @@ class SufficientStats:
         return adj / det[:, None, None]
 
 
-def _daughters(x: np.ndarray, tree: ObservationTree):
-    """(mother traits, daughter traits) of the observed type-0 and of the
-    observed type-1 daughters, from the traits ``x`` of the observed cells."""
-    return [(x[m], x[k]) for m, k in tree.daughter_positions()]
+def _daughters(values: ValueTree, tree: ObservationTree):
+    """The traits of the observed daughters (every observed cell but the
+    root, in label order), of each one's mother, and whether each is odd."""
+    x = values.observed(tree)
+    return x[1:], x[tree.mother_positions()], (tree.observed_indices()[1:] & 1).astype(bool)
 
 
 def _moment(xm: np.ndarray) -> np.ndarray:
@@ -187,11 +188,11 @@ def _moment(xm: np.ndarray) -> np.ndarray:
 
 
 def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStats:
-    x = values.observed(tree)
     n = tree.depth
-    (xm0, x0), (xm1, x1) = _daughters(x, tree)
+    xd, xm, odd = _daughters(values, tree)
+    (xm0, x0), (xm1, x1) = ((xm[m], xd[m]) for m in (~odd, odd))
     rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
-    both = x[tree.mother_positions()[tree.pair_positions() - 1]]
+    both = xm[tree.pair_positions() - 1]  # the mother of each sister pair
     c = tree.counts()
     counts = (int(c.t_star[n - 1]), int(c.t01[n - 1]), int(c.t_star[n]))
     return SufficientStats(_moment(xm0), _moment(xm1), _moment(both), rhs, counts)
@@ -213,25 +214,24 @@ class NoiseEstimate:
 def residual_noise_estimates(
     values: ValueTree, tree: ObservationTree, theta
 ) -> NoiseEstimate:
-    """Residual variance and sister covariance from the fitted recursion.
+    """Residual variance and sister covariance from the fitted recursion,
+    with one residual per observed daughter (type-0 squares summed first).
 
     With no observed sister pair the covariance is reported as 0 and
     flagged instead of raising, so callers can still emit a report.
     """
     a, b, c, d = np.asarray(theta, dtype=float)
-    x = values.observed(tree)
     n = tree.depth
-    (xm0, x0), (xm1, x1) = _daughters(x, tree)
-    e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
+    xd, xm, odd = _daughters(values, tree)
+    e = xd - np.where(odd, c, a) - np.where(odd, d, b) * xm
     cnt = tree.counts()
-    sigma2_hat = float((e0 * e0).sum() + (e1 * e1).sum()) / int(cnt.t_star[n])
+    sigma2_hat = float(np.square(e[~odd]).sum() + np.square(e[odd]).sum()) / int(cnt.t_star[n])
     t01 = int(cnt.t01[n - 1])
     if t01 == 0:
         return NoiseEstimate(sigma2_hat, 0.0, no_sister_pairs=True)
+    # the even daughter at position p has residual e[p - 1], her sister e[p]
     p = tree.pair_positions()
-    xm = x[tree.mother_positions()[p - 1]]
-    cross = (x[p] - a - b * xm) * (x[p + 1] - c - d * xm)
-    rho_hat = float(cross.sum()) / t01
+    rho_hat = float((e[p - 1] * e[p]).sum()) / t01
     return NoiseEstimate(sigma2_hat, rho_hat)
 
 

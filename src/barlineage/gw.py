@@ -45,9 +45,9 @@ class ReproductionLaw:
 
     def __post_init__(self):
         v = self.as_array()
-        if (v < 0).any() or (v > 1).any():
+        if not ((0 <= v) & (v <= 1)).all():  # nan fails too
             raise ValueError(f"probabilities must lie in [0, 1], got {v}")
-        if abs(v.sum() - 1.0) > _SUM_TOL:
+        if not abs(v.sum() - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {v.sum()!r}")
 
     def as_array(self) -> np.ndarray:
@@ -125,9 +125,9 @@ class ReproductionEstimate:
     ``phat`` stacks the type-0 block then the type-1 block, each in the
     order (0,0), (1,0), (0,1), (1,1).  ``mother_counts`` are the
     numbers of observed mothers-of-record per type (denominators);
-    a zero count leaves that block at 0.  ``zhat`` are the empirical
-    type proportions and ``t_star`` the observed sub-tree size used to
-    normalize the test statistic.
+    a zero count leaves that block at 0.  ``zhat`` are those counts over
+    ``t_star``, the observed sub-tree size that also normalizes the test
+    statistic.
     """
 
     phat: np.ndarray
@@ -147,8 +147,8 @@ def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
     n = tree.depth
     if n < 2:
         raise InsufficientData("estimating reproduction laws needs depth >= 2")
-    labels, c = tree.observed_indices(), tree.counts()
-    t_star = int(c.t_star[n - 1])  # cells of generations 0 .. n-1
+    labels = tree.observed_indices()
+    t_star = int(tree.counts().t_star[n - 1])  # cells of generations 0 .. n-1
     # each observed daughter adds 1 (even) or 2 (odd) to her mother's code
     outcome = np.bincount(tree.mother_positions(), weights=1 + (labels[1:] & 1),
                           minlength=labels.size)
@@ -157,8 +157,7 @@ def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
     block = np.bincount(code, minlength=8).reshape(2, 4)
     counts = block.sum(axis=1)
     phat = (block / np.maximum(counts, 1)[:, None]).ravel()
-    zsum = c.z[1:n].sum(axis=0)  # generations 1 .. n-1
-    zhat = (zsum[0] / t_star, zsum[1] / t_star)
+    zhat = (counts[0] / t_star, counts[1] / t_star)
     return ReproductionEstimate(phat, (int(counts[0]), int(counts[1])), zhat, t_star)
 
 

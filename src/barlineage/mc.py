@@ -47,15 +47,20 @@ DEFAULT_SIGMA2 = 1.0
 DEFAULT_RHO = 0.5
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 # (passes, requirement) of each McConfig field with a check of its own
 _FIELD_CHECKS = {
     "which_test": (lambda v: v in TESTS, f"must be one of {TESTS}"),
-    "replicas": (lambda v: v >= 1, "must be >= 1"),
+    "replicas": (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1"),
     "thresholds": (lambda v: 0 < len(set(v)) == len(v) and all(0.0 < t < 1.0 for t in v),
                    "must be one or more distinct values in (0, 1)"),
     "generations": (lambda v: 0 < len(v) and list(v) == sorted(set(v))
-                    and all(1 <= g <= MAX_DEPTH for g in v),
+                    and all(_is_int(g) and 1 <= g <= MAX_DEPTH for g in v),
                     f"must be one or more, strictly ascending within 1..{MAX_DEPTH}"),
+    "master_seed": (_is_int, "must be an integer"),
 }
 
 

@@ -7,14 +7,14 @@ k // 2.  Generation g is the label range [2**g, 2**(g+1)).
 An ObservationTree is the ascending array of its observed labels.  At
 construction it finds, once, where each observed cell's mother sits in
 that array, where its observed sister pairs sit, and its
-ObservedCounts; the estimators gather through those positions, so
-nothing here grows with 2**depth.
+ObservedCounts.  The estimators read a tree through those three and
+the labels alone (a daughter's type is her label's parity), so nothing
+here grows with 2**depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +43,25 @@ def mirror(labels: np.ndarray) -> np.ndarray:
     each generation."""
     gen = (np.frexp(labels)[1] - 1).astype(np.int64)  # exact for k < 2**53
     return labels ^ ((1 << gen) - 1)
+
+
+def as_labels(labels, depth: int) -> np.ndarray:
+    """``labels`` as a 1-d int64 array (the same array if it is one), after
+    checking that they are integers, strictly ascending and inside
+    [1, 2^(depth+1)); a label out of range raises IndexOutOfRange."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":  # an integer array is not searched
+        bad = labels[~(np.isfinite(labels) & (labels == np.trunc(labels)))]
+        if bad.size:
+            raise ValueError(f"cell label {bad[0]} is not an integer")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-d array")
+    if (labels[1:] <= labels[:-1]).any():
+        raise ValueError("labels must be strictly ascending")
+    if labels.size and not (1 <= labels[0] and labels[-1] < 1 << (depth + 1)):
+        raise IndexOutOfRange(int(labels[0] if labels[0] < 1 else labels[-1]))
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +93,12 @@ class ObservedCounts:
 class ObservationTree:
     """The observed cells of a fixed-depth binary tree, as ascending labels.
 
-    Invariants (checked at construction): the labels are strictly
-    ascending and lie in [1, 2^(depth+1)), the root 1 is observed, and
-    no observed cell has an unobserved mother.  Construction also finds
-    each non-root cell's mother position, the sister-pair positions and
-    the ObservedCounts, once; the methods below return them, read-only.
+    Invariants (checked at construction): the labels are integers,
+    strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
+    1 is observed, and no observed cell has an unobserved mother.
+    Construction also finds each non-root cell's mother position, the
+    sister-pair positions and the ObservedCounts, once; the methods below
+    return them, read-only, and are all that the estimators read.
     """
 
     depth: int
@@ -90,16 +110,10 @@ class ObservationTree:
     def __post_init__(self):
         n = self.depth
         check_depth(n)
-        labels = np.array(self.labels, dtype=np.int64)  # a private copy
-        if labels.ndim != 1:
-            raise ValueError("labels must be a 1-d array")
-        if labels.size and not 1 <= labels[0] <= labels[-1] < 1 << (n + 1):
-            raise IndexOutOfRange(int(labels[0] if labels[0] < 1 else labels[-1]))
+        labels = np.array(as_labels(self.labels, n))  # a private copy
         if not labels.size or labels[0] != 1:
             raise MissingRoot()
         first, kids = labels[:-1], labels[1:]
-        if not (kids > first).all():
-            raise ValueError("labels must be strictly ascending")
         # a cell's mother is the observed label k >> 1, if there is one
         up = kids >> 1
         mothers = np.searchsorted(labels, up)
@@ -135,13 +149,7 @@ class ObservationTree:
         """The tree of the given labels, in any order; repeats count once.
         A label that is not an integer raises ValueError."""
         check_depth(depth)
-        if not isinstance(observed, np.ndarray):
-            observed = np.array(list(observed))
-        if observed.dtype.kind == "f":
-            bad = observed[~(np.isfinite(observed) & (observed == np.trunc(observed)))]
-            if bad.size:
-                raise ValueError(f"cell label {bad[0]} is not an integer")
-        labels = np.sort(observed.astype(np.int64))
+        labels = np.sort(observed if isinstance(observed, np.ndarray) else list(observed))
         first = np.ones(labels.size, dtype=bool)  # a repeat is not the first of its run
         first[1:] = labels[1:] != labels[:-1]
         return cls(depth, labels[first])
@@ -170,20 +178,6 @@ class ObservationTree:
         """Position in ``observed_indices()`` of the even daughter of each
         observed sister pair, ascending; her sister sits one further on."""
         return self._pairs
-
-    @cached_property
-    def _by_type(self) -> tuple:
-        odd = (self.labels[1:] & 1).astype(bool)
-        out = tuple((self._mothers[k], k + 1) for k in (np.flatnonzero(~odd), np.flatnonzero(odd)))
-        for arr in (a for pair in out for a in pair):
-            arr.flags.writeable = False
-        return out
-
-    def daughter_positions(self) -> tuple:
-        """((mothers, daughters) of type 0, (mothers, daughters) of type 1):
-        the observed daughters of each type and their mothers, as
-        positions in ``observed_indices()``.  Found on first use."""
-        return self._by_type
 
     def counts(self) -> ObservedCounts:
         return self._counts

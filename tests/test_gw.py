@@ -73,6 +73,14 @@ class TestReproductionLaw:
         with pytest.raises(ValueError):
             ReproductionLaw(-0.1, 0.55, 0.55, 0.0)
 
+    @pytest.mark.parametrize("probs", [
+        (float("nan"), 0.5, 0.25, 0.25),
+        (0.5, 0.5, 0.0, float("nan")),
+    ])
+    def test_rejects_non_finite(self, probs):
+        with pytest.raises(ValueError, match="must lie in"):
+            ReproductionLaw(*probs)
+
     def test_mean(self):
         # row i of the descendants matrix sums to type i's mean offspring
         rows = GwModel(P0, P1).descendants_matrix().sum(axis=1)

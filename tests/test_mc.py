@@ -81,6 +81,10 @@ class TestConfig:
             McConfig(which_test="gw_mean", gw_null=law, generations=(9, 7))
         with pytest.raises(ValueError):
             McConfig(which_test="coefficient", gw_null=law)
+        for field, value in (("replicas", 2.5), ("replicas", True), ("generations", (7.5,)),
+                             ("generations", (True, 3)), ("master_seed", 1.5)):
+            with pytest.raises(ValueError, match=field):
+                McConfig(which_test="gw_mean", gw_null=law, **{field: value})
 
     @pytest.mark.parametrize("generations", [(4, 4), (7, 9, 9), (0, 3), (3, 31), ()])
     def test_generations_strictly_ascending_in_range(self, generations):

@@ -83,14 +83,20 @@ class TestValidate:
         assert tree.observed_indices().tolist() == [1, 2, 3]
         assert tree.counts().t_star[2] == 3
 
+    @pytest.mark.parametrize("build", [
+        ObservationTree.from_indices,
+        ObservationTree,
+        lambda depth, labels: ValueTree(depth, np.zeros(len(labels)), labels),
+    ], ids=["from_indices", "ObservationTree", "ValueTree"])
     @pytest.mark.parametrize("labels,bad", [
         (np.array([1.0, 2.7, 3.2]), "2.7"),
         ([1, 2.9, 3], "2.9"),
         ([1, 2, float("nan")], "nan"),
+        ([1.0, 2.5, 3.0], "2.5"),
     ])
-    def test_non_integral_label_is_named(self, labels, bad):
+    def test_non_integral_label_is_named(self, build, labels, bad):
         with pytest.raises(ValueError, match=f"cell label {bad} is not an integer"):
-            ObservationTree.from_indices(2, labels)
+            build(2, labels)
 
     def test_integral_labels_of_any_type(self):
         for labels in (np.array([3.0, 1.0, 2.0]), [3, 1, 2], range(1, 4), {1: 0.5, 2: 0, 3: 0},
