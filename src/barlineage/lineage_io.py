@@ -5,6 +5,14 @@ absence.  Lines starting with ``#`` are comments (the simulator records
 its parameters there).  A file becomes the ascending array of its
 labels and one trait array aligned with it, so reading it costs memory
 in proportion to its rows, whatever its depth.
+
+A well-formed file is read in one C-level pass: its rows below the
+header go to one ``np.loadtxt`` call when only comment or blank lines
+stand above the header and the rows are ASCII without ``\\x1c``-``\\x1f``
+(the two places where numpy's number parser and Python's disagree).
+Every other file, and every file that numpy or a check refuses, is read
+line by line with Python's ``int`` and ``float``, which also names the
+first line with a defect; both readers give the same trees.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .tree import MAX_DEPTH, ObservationTree, generation
 HEADER = "index,value"
 # the deepest label a tree of MAX_DEPTH generations holds
 _MAX_LABEL = (1 << (MAX_DEPTH + 1)) - 1
+_ROW = [("k", np.int64), ("v", np.float64)]
 
 
 def ingest(path) -> tuple[ObservationTree, ValueTree]:
@@ -29,7 +38,62 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
     holds one; a file-wide defect (no header, no root, a label or depth
     beyond MAX_DEPTH, an orphan) only when no line does.
     """
-    lines = list(map(str.strip, read_text(path).split("\n")))
+    text = read_text(path)
+    labels, x_obs, depth_hint = _read_bulk(text) or _read_lines(text)
+    if labels.size == 0 or labels[0] != 1:
+        raise MissingRoot()
+    deepest = int(labels[-1])
+    if generation(deepest) > MAX_DEPTH:
+        raise IndexOutOfRange(deepest)
+    # the simulator records "# depth=N"; honoring it keeps the round trip
+    # exact when the deepest generation died out
+    depth = max(generation(deepest), depth_hint, 1)
+    # the tree rejects a depth above MAX_DEPTH and reports the smallest
+    # orphan label, if any
+    tree = ObservationTree(depth, labels)
+    return tree, ValueTree(depth, x_obs, tree.observed_indices())
+
+
+def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Ascending labels, their traits and the depth hint of a well-formed
+    file, read by one ``np.loadtxt`` call; None for any other file.
+
+    It reads files whose lines above an exact ``index,value`` line are
+    comments or blank and whose rows below it are ASCII without
+    ``\\x1c``-``\\x1f``.  On those numpy's parser reads a field as Python's
+    ``int`` or ``float`` does, or refuses it; elsewhere it reads some
+    non-ASCII characters as digits and ``\\x1c``-``\\x1f`` as blanks.  A
+    row that numpy refuses (a defect, a comment, a line of blanks, a
+    spelling only Python reads) or a label or trait that a check rejects
+    returns None, so that ``_read_lines`` reads the file or names its
+    defect.
+    """
+    head, found, rows = ("\n" + text).partition("\n" + HEADER + "\n")
+    if not found or not rows or rows.isspace() or not rows.isascii() or any(
+            c in rows for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    above = list(map(str.strip, head.split("\n")))
+    if any(s and s[0] != "#" for s in above):
+        return None
+    depth_hint, bad_comment = _depth_hint(above)
+    if bad_comment is not None:
+        return None
+    try:
+        cells = np.loadtxt(rows.split("\n"), delimiter=",", dtype=_ROW, comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    order = np.argsort(cells["k"], kind="stable")
+    labels, x_obs = cells["k"][order], cells["v"][order]
+    if labels[0] < 1 or (labels[1:] == labels[:-1]).any() or not np.isfinite(x_obs).all():
+        return None
+    return labels, x_obs, depth_hint
+
+
+def _read_lines(text: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ascending labels, their traits and the depth hint of any file,
+    line by line; raises the error of the first line with a defect."""
+    lines = list(map(str.strip, text.split("\n")))
     depth_hint, bad_comment = _depth_hint(lines)
     if bad_comment is not None:
         # it is the file's error unless a line above it has one
@@ -43,18 +107,7 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
         raise bad_comment
     if not body:
         raise ParseError(0, "empty file")
-    if labels.size == 0 or labels[0] != 1:
-        raise MissingRoot()
-    deepest = int(labels[-1])
-    if generation(deepest) > MAX_DEPTH:
-        raise IndexOutOfRange(deepest)
-    # the simulator records "# depth=N"; honoring it keeps the round trip
-    # exact when the deepest generation died out
-    depth = max(generation(deepest), depth_hint, 1)
-    # the tree rejects a depth above MAX_DEPTH and reports the smallest
-    # orphan label, if any
-    tree = ObservationTree(depth, labels)
-    return tree, ValueTree(depth, x_obs, tree.observed_indices())
+    return labels, x_obs, depth_hint
 
 
 def read_text(path) -> str:

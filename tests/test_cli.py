@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from barlineage import (
     emit_lineage,
     ingest,
 )
-from barlineage import gw
+from barlineage import gw, lineage_io
 from barlineage.cli import main
 from barlineage.errors import (
     DepthError,
@@ -51,17 +53,25 @@ CANCELLING = "index,value\n" + "".join(
 
 # comment and blank lines that change nothing; "\x0b", "\x0c", "\x85" and
 # "\u2028" break lines for str.splitlines but not in a file
-NOISE = ["", "  ", "#", "# note", "# depth = 4", "\x0b", "\x0c", "\x85", "\u2028"]
+NOISE = ["", "  ", "#", "# note", "# depth = 4", "\x0b", "\x0c", "\x85", "\u2028",
+         "\t", " \x1c "]
+# the last four are row edits on which numpy's parser and Python's
+# disagree; int and float read the Python-only spellings as the numbers
+# they spell
 DEFECTS = ["extra field", "one field", "moved field", "non-integer label", "label < 1",
            "non-finite", "duplicate", "missing root", "over-deep label", "orphan",
-           "bad header", "bad depth comment", "over-deep hint"]
+           "bad header", "bad depth comment", "over-deep hint",
+           "non-ASCII label", "separator in field", "trailing comment", "Python-only spelling"]
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
 
 
 @st.composite
-def lineage_texts(draw):
+def lineage_texts(draw, below_header=True):
     """Lineage file bytes from emit_lineage output: comment, blank and
-    `# depth=` lines around the header, padded fields, any line ending,
-    and up to two of DEFECTS."""
+    `# depth=` lines around the header (above it only, without
+    below_header), padded fields, any line ending, and up to two of
+    DEFECTS."""
     tree = draw(observation_trees(min_depth=1, max_depth=5))
     labels = tree.observed_indices()
     x = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -91,11 +101,29 @@ def lineage_texts(draw):
         elif kind == "missing root":
             rows = [row for row in rows if not row.startswith("1,")]
         elif kind == "over-deep label":
-            rows.insert(pos, f"{draw(st.sampled_from([1 << 31, 1 << 70]))},0.5")
+            deep = draw(st.sampled_from([1 << 31, 1 << 70, (1 << 63) - 1, 1 << 63]))
+            rows.insert(pos, f"{deep},0.5")
         elif kind == "orphan":
             rows.insert(pos, f"{2 * (int(labels[-1]) + 1)},0.5")
         elif kind == "bad header":
             header = "index;value"
+        elif kind == "non-ASCII label":
+            rows[r] = draw(st.sampled_from([k + "\u01fe", "\u0761" + k])) + rows[r][len(k):]
+        elif kind == "separator in field":
+            i = draw(st.integers(0, len(rows[r])))
+            rows[r] = rows[r][:i] + draw(st.sampled_from("\x1c\x1d\x1e\x1f")) + rows[r][i:]
+        elif kind == "trailing comment":
+            rows[r] += draw(st.sampled_from(["# note", " # note", "#"]))
+        elif kind == "Python-only spelling":
+            label, comma, trait = rows[r].partition(",")
+            how = draw(st.sampled_from(["Arabic-Indic label", "1_0 label", "1_0 trait"]))
+            if how == "Arabic-Indic label":
+                label = label.translate(ARABIC_INDIC)
+            elif how == "1_0 label":
+                label = re.sub(r"(\d)(\d)", r"\1_\2", label, count=1)
+            else:
+                trait = re.sub(r"(\d)(\d)", r"\1_\2", trait, count=1)
+            rows[r] = label + comma + trait
         else:
             extra.append("# depth=x" if kind == "bad depth comment" else "# depth=31")
     pad = draw(st.sampled_from(["", " ", "\t"]))
@@ -103,7 +131,8 @@ def lineage_texts(draw):
     hints = draw(st.lists(st.sampled_from(["# depth=3", "#depth= 6", "# depth=0"]), max_size=2))
     lines = draw(st.lists(st.sampled_from(NOISE), max_size=3)) + [header] + rows
     for line in hints + extra + draw(st.lists(st.sampled_from(NOISE), max_size=3)):
-        lines.insert(draw(st.integers(0, len(lines))), line)
+        lines.insert(draw(st.integers(0, len(lines) if below_header else lines.index(header))),
+                     line)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     tail = draw(st.sampled_from([end, ""]))
     return (end.join(lines) + tail).encode("utf-8")
@@ -232,6 +261,24 @@ class TestIngest:
             f"index,value\n{1 << 70},0.5\n{1 << 70},0.5\n1,0.0\n",
             f"index,value\n{1 << 70},0.5\n",
             f"index,value\n1,0.5\n{1 << 70},0.5\n",
+            # numpy's parser reads these labels as 492 and 18413
+            "index,value\n1,0.5\n3\u01fe,0.25\n",
+            "index,value\n1,0.5\n\u07613,0.25\n",
+            # and these fields as if \x1c-\x1f were blanks
+            "index,value\n1,0.5\n3,\x1c1.0\n",
+            "index,value\n1,0.5\n3\x1f,1.0\n",
+            "index,value\n1,0.5\n2,0.25\x1d \n3,1\x1e.0\n",
+            "index,value\n1,0.5\n2,0.25 # note\n",
+            "index,value\n1,0.5\n2,0.25# note\n3,x\n",
+            "index,value\n1,0.5\n  \n2,0.25\n\t\n",
+            # Python's int and float read these; numpy refuses them
+            "index,value\n1,0.5\n\u0663,0.25\n",
+            "index,value\n1,0.5\n2,0\n3,0\n5,0\n1_0,0.25\n",
+            "index,value\n1,0.5\n2,1_0\n",
+            f"index,value\n1,0.5\n{(1 << 63) - 1},0.5\n",
+            f"index,value\n1,0.5\n{1 << 63},0.5\n",
+            "index,value\n",
+            "# depth=4\nindex,value\n\n\n",
         ],
     )
     def test_first_defect_wins(self, tmp_path, text):
@@ -244,6 +291,57 @@ class TestIngest:
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(text)
         assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=lineage_texts(below_header=False))
+    def test_bulk_read_matches_line_loop(self, tmp_path_factory, text):
+        # no comment or blank line below the header, so most rows reach np.loadtxt
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text)
+        assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+
+
+class TestBulkRead:
+    """Well-formed files are read by one C-level pass, not line by line."""
+
+    @pytest.fixture
+    def per_line_reads(self, monkeypatch):
+        calls = []
+        read_lines = lineage_io._read_lines
+
+        def counted(text):
+            calls.append(text)
+            return read_lines(text)
+
+        monkeypatch.setattr(lineage_io, "_read_lines", counted)
+        return calls
+
+    def test_emitted_files_skip_the_line_reader(self, tmp_path, per_line_reads):
+        paths = []
+        for depth in range(1, 10):
+            path = tmp_path / f"sim{depth}.csv"
+            assert main(["simulate", "--depth", str(depth), "--seed", str(depth),
+                         "--out", str(path)]) == 0
+            paths.append(path)
+        # the benchmark's sparse depth-20 branch of alternating daughters
+        branch = [1]
+        for g in range(20):
+            branch.append(2 * branch[-1] + g % 2)
+        tree = ObservationTree.from_indices(20, branch)
+        x = np.random.default_rng(20).normal(size=len(branch))
+        paths.append(write(tmp_path, emit_lineage(tree, ValueTree(20, x, branch),
+                                                  {"depth": 20, "seed": 1, "deep": 0})))
+        for path in paths:
+            assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+        assert per_line_reads == []
+
+    @pytest.mark.parametrize("text", ["index,value\n", "# seed=1\nindex,value\n\n  \n"])
+    def test_header_only_is_missing_root(self, tmp_path, per_line_reads, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MissingRoot):
+                ingest(write(tmp_path, text))
+        assert len(per_line_reads) == 1
 
 
 class TestEmitLineage:
@@ -291,10 +389,15 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: depth 35 outside supported range [1, 30]\n"
         assert not out.exists()
 
-    def test_bad_law_is_usage_error(self, tmp_path):
+    def test_bad_law_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
-        assert main(["simulate", "--depth", "3", "--out", str(out),
-                     "--law0", "0.5,0.5"]) == 1
+        for law in ("0.5,0.5", "nan,0.08,0.08,0.8"):
+            assert main(["simulate", "--depth", "3", "--out", str(out),
+                         "--law0", law]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("usage: barlineage simulate")
+            assert err[-1].startswith("error: argument --law0")
+        assert not out.exists()
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
@@ -633,6 +736,13 @@ class TestMcCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: BARLINEAGE_WORKERS: not an integer: {value!r}\n"
+
+    def test_bad_workers_flag_is_usage_error(self, capsys):
+        assert main(["mc", "--workers", "two"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last == "error: argument --workers: invalid int value: 'two'"
 
     def test_matches_library_run(self, tmp_path, capsys):
         from barlineage import emit_table, run_table, table_config
