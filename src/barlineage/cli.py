@@ -52,6 +52,17 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _flag(parse):
+    """``parse`` as an argparse type: a ValueError's reason becomes the
+    usage error, not argparse's ``invalid <function> value``."""
+    def flag(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="barlineage", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -60,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--law0", type=_probs, default=mc.P0_LAW,
+    p.add_argument("--law0", type=_flag(_probs), default=mc.P0_LAW,
                    help="type-0 reproduction law p(0,0),p(1,0),p(0,1),p(1,1)")
-    p.add_argument("--law1", type=_probs, default=None,
+    p.add_argument("--law1", type=_flag(_probs), default=None,
                    help="type-1 reproduction law (defaults to --law0)")
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--b", type=float, default=0.5)
@@ -93,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--replicas", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--generations", type=_ints, default=None)
-    p.add_argument("--thresholds", type=_floats, default=None)
+    p.add_argument("--generations", type=_flag(_ints), default=None)
+    p.add_argument("--thresholds", type=_flag(_floats), default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--workers", type=int, default=None,

@@ -9,14 +9,19 @@ in proportion to its rows, whatever its depth.
 A well-formed file is read in one C-level pass: its rows below the
 header go to one ``np.loadtxt`` call when only comment or blank lines
 stand above the header and the rows are ASCII without ``\\x1c``-``\\x1f``
-(the two places where numpy's number parser and Python's disagree).
-Every other file, and every file that numpy or a check refuses, is read
-line by line with Python's ``int`` and ``float``, which also names the
-first line with a defect; both readers give the same trees.
+(the two places where numpy 2.4's number parser and Python's disagree).
+That C pass runs only on numpy 2.4 or later, the parser those
+disagreements were scanned on: numpy 1.23-1.26 reads a label such as
+``2.5`` as 2, with only a DeprecationWarning.  Every other file, every
+file that numpy refuses or warns about, and every file that a check
+refuses, is read line by line with Python's ``int`` and ``float``, which
+also names the first line with a defect; both readers give the same
+trees.
 """
 
 from __future__ import annotations
 
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -29,6 +34,8 @@ HEADER = "index,value"
 # the deepest label a tree of MAX_DEPTH generations holds
 _MAX_LABEL = (1 << (MAX_DEPTH + 1)) - 1
 _ROW = [("k", np.int64), ("v", np.float64)]
+# numpy 2.4.6's parser was checked against Python's; 1.23-1.26 truncate "2.5"
+_BULK = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
 
 def ingest(path) -> tuple[ObservationTree, ValueTree]:
@@ -56,7 +63,8 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
 
 def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Ascending labels, their traits and the depth hint of a well-formed
-    file, read by one ``np.loadtxt`` call; None for any other file.
+    file, read by one ``np.loadtxt`` call; None for any other file, and
+    for every file on a numpy older than 2.4.
 
     It reads files whose lines above an exact ``index,value`` line are
     comments or blank and whose rows below it are ASCII without
@@ -64,12 +72,12 @@ def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     ``int`` or ``float`` does, or refuses it; elsewhere it reads some
     non-ASCII characters as digits and ``\\x1c``-``\\x1f`` as blanks.  A
     row that numpy refuses (a defect, a comment, a line of blanks, a
-    spelling only Python reads) or a label or trait that a check rejects
-    returns None, so that ``_read_lines`` reads the file or names its
-    defect.
+    spelling only Python reads), a numpy warning, or a label or trait
+    that a check rejects returns None, so that ``_read_lines`` reads the
+    file or names its defect.
     """
     head, found, rows = ("\n" + text).partition("\n" + HEADER + "\n")
-    if not found or not rows or rows.isspace() or not rows.isascii() or any(
+    if not _BULK or not found or not rows or rows.isspace() or not rows.isascii() or any(
             c in rows for c in "\x1c\x1d\x1e\x1f"):
         return None
     above = list(map(str.strip, head.split("\n")))
@@ -79,9 +87,13 @@ def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     if bad_comment is not None:
         return None
     try:
-        cells = np.loadtxt(rows.split("\n"), delimiter=",", dtype=_ROW, comments=None,
-                           quotechar=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            # a numpy warning, such as one for a label it truncates, sends
+            # the file to the line reader
+            warnings.simplefilter("error")
+            cells = np.loadtxt(rows.split("\n"), delimiter=",", dtype=_ROW, comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, Warning):
         return None
     order = np.argsort(cells["k"], kind="stable")
     labels, x_obs = cells["k"][order], cells["v"][order]

@@ -316,6 +316,7 @@ class TestBulkRead:
         monkeypatch.setattr(lineage_io, "_read_lines", counted)
         return calls
 
+    @pytest.mark.skipif(not lineage_io._BULK, reason="numpy < 2.4 reads every file by line")
     def test_emitted_files_skip_the_line_reader(self, tmp_path, per_line_reads):
         paths = []
         for depth in range(1, 10):
@@ -341,6 +342,23 @@ class TestBulkRead:
             warnings.simplefilter("error")
             with pytest.raises(MissingRoot):
                 ingest(write(tmp_path, text))
+        assert len(per_line_reads) == 1
+
+    # outside pytest a warning does not raise: numpy 1.23-1.26 read the
+    # label "2.5" as 2 and only warn
+    @pytest.mark.filterwarnings("default")
+    def test_numpy_warning_sends_file_to_line_reader(self, tmp_path, per_line_reads,
+                                                     monkeypatch):
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return np.array([(1, 0.1), (2, 0.3)], dtype=lineage_io._ROW)
+
+        monkeypatch.setattr(lineage_io, "_BULK", True)
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        with pytest.raises(ParseError) as info:
+            ingest(write(tmp_path, "index,value\n1,0.1\n2.5,0.3\n"))
+        assert info.value.line_no == 3
         assert len(per_line_reads) == 1
 
 
@@ -391,12 +409,13 @@ class TestSimulate:
 
     def test_bad_law_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
-        for law in ("0.5,0.5", "nan,0.08,0.08,0.8"):
+        for law, reason in (("0.5,0.5", "expected 4 comma-separated probabilities"),
+                            ("nan,0.08,0.08,0.8", "probabilities must lie in [0, 1]")):
             assert main(["simulate", "--depth", "3", "--out", str(out),
                          "--law0", law]) == 1
             err = capsys.readouterr().err.splitlines()
             assert err[0].startswith("usage: barlineage simulate")
-            assert err[-1].startswith("error: argument --law0")
+            assert err[-1].startswith(f"error: argument --law0: {reason}")
         assert not out.exists()
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
