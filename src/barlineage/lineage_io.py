@@ -12,17 +12,17 @@ stand above the header and the rows are ASCII without ``\\x1c``-``\\x1f``
 (the two places where numpy 2.4's number parser and Python's disagree).
 That C pass runs only on numpy 2.4 or later, the parser those
 disagreements were scanned on: numpy 1.23-1.26 reads a label such as
-``2.5`` as 2, with only a DeprecationWarning.  Every other file, every
-file that numpy refuses or warns about, and every file that a check
-refuses, is read line by line with Python's ``int`` and ``float``, which
-also names the first line with a defect; both readers give the same
-trees.
+``2.5`` as 2, with only a DeprecationWarning.  Every other file, and
+every file that numpy refuses or warns about or that a check refuses,
+is read by one loop over its lines: it reads each row with Python's
+``int`` and ``float``, checks the row where it stands and raises at the
+first line with a defect.  Both readers give the same trees.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from itertools import repeat
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .errors import DuplicateIndex, IndexOutOfRange, MissingRoot, ParseError
 from .tree import MAX_DEPTH, ObservationTree, generation
 
 HEADER = "index,value"
-# the deepest label a tree of MAX_DEPTH generations holds
-_MAX_LABEL = (1 << (MAX_DEPTH + 1)) - 1
 _ROW = [("k", np.int64), ("v", np.float64)]
 # numpy 2.4.6's parser was checked against Python's; 1.23-1.26 truncate "2.5"
 _BULK = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
@@ -47,7 +45,7 @@ def ingest(path) -> tuple[ObservationTree, ValueTree]:
     """
     text = read_text(path)
     labels, x_obs, depth_hint = _read_bulk(text) or _read_lines(text)
-    if labels.size == 0 or labels[0] != 1:
+    if len(labels) == 0 or labels[0] != 1:
         raise MissingRoot()
     deepest = int(labels[-1])
     if generation(deepest) > MAX_DEPTH:
@@ -74,7 +72,8 @@ def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     row that numpy refuses (a defect, a comment, a line of blanks, a
     spelling only Python reads), a numpy warning, or a label or trait
     that a check rejects returns None, so that ``_read_lines`` reads the
-    file or names its defect.
+    file or names its defect.  A bad ``# depth=`` above the header, the
+    file's first defect, raises.
     """
     head, found, rows = ("\n" + text).partition("\n" + HEADER + "\n")
     if not _BULK or not found or not rows or rows.isspace() or not rows.isascii() or any(
@@ -83,9 +82,9 @@ def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     above = list(map(str.strip, head.split("\n")))
     if any(s and s[0] != "#" for s in above):
         return None
-    depth_hint, bad_comment = _depth_hint(above)
-    if bad_comment is not None:
-        return None
+    depth_hint = 0
+    for line_no, s in enumerate(above):  # the "\n" put in front makes above[i] line i
+        depth_hint = _depth_hint(s, line_no, depth_hint)
     try:
         with warnings.catch_warnings():
             # a numpy warning, such as one for a label it truncates, sends
@@ -102,24 +101,37 @@ def _read_bulk(text: str) -> tuple[np.ndarray, np.ndarray, int] | None:
     return labels, x_obs, depth_hint
 
 
-def _read_lines(text: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ascending labels, their traits and the depth hint of any file,
-    line by line; raises the error of the first line with a defect."""
-    lines = list(map(str.strip, text.split("\n")))
-    depth_hint, bad_comment = _depth_hint(lines)
-    if bad_comment is not None:
-        # it is the file's error unless a line above it has one
-        del lines[bad_comment.line_no - 1:]
-    body = [i for i, s in enumerate(lines) if s and s[0] != "#"]
-    if body and lines[body[0]] != HEADER:
-        raise ParseError(body[0] + 1, f"expected header {HEADER!r}, got {lines[body[0]]!r}")
-    rows = body[1:]
-    labels, x_obs = _parse_rows([lines[i] for i in rows], rows)
-    if bad_comment is not None:
-        raise bad_comment
-    if not body:
+def _read_lines(text: str) -> tuple[list[int], np.ndarray, int]:
+    """Ascending labels (Python ints), their traits and the depth hint of
+    any file, one line at a time; each line is checked where it stands,
+    so the first line with a defect raises."""
+    hint, header, cells = 0, False, {}
+    for line_no, s in enumerate(map(str.strip, text.split("\n")), start=1):
+        if not s or s[0] == "#":
+            hint = _depth_hint(s, line_no, hint)
+        elif not header:
+            if s != HEADER:
+                raise ParseError(line_no, f"expected header {HEADER!r}, got {s!r}")
+            header = True
+        else:
+            fields = s.split(",")
+            if len(fields) != 2:
+                raise ParseError(line_no, f"expected 'index,value', got {s!r}")
+            try:
+                k, v = int(fields[0]), float(fields[1])
+            except ValueError as exc:
+                raise ParseError(line_no, str(exc)) from exc
+            if k < 1:
+                raise ParseError(line_no, f"cell index must be >= 1, got {k}")
+            if not math.isfinite(v):
+                raise ParseError(line_no, f"non-finite value {fields[1]!r}")
+            if k in cells:
+                raise DuplicateIndex(line_no, k)
+            cells[k] = v
+    if not header:
         raise ParseError(0, "empty file")
-    return labels, x_obs, depth_hint
+    labels = sorted(cells)
+    return labels, np.array([cells[k] for k in labels], dtype=float), hint
 
 
 def read_text(path) -> str:
@@ -133,71 +145,15 @@ def read_text(path) -> str:
             raise ParseError(line_no, f"not UTF-8 ({exc.reason})") from exc
 
 
-def _depth_hint(lines: list[str]) -> tuple[int, ParseError | None]:
-    """The last ``# depth=N`` comment's N (0 when there is none) and the
-    error of the first malformed one, if any."""
-    hint = 0
-    for i, s in enumerate(lines):
-        if s.startswith("#") and s[1:].strip().startswith("depth="):
-            try:
-                hint = int(s.split("=", 1)[1])
-            except ValueError as exc:
-                return 0, ParseError(i + 1, f"bad depth comment: {exc}")
-    return hint, None
-
-
-def _parse_rows(rows: list[str], line_idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the stripped data rows, ascending, and their values.
-
-    The checks run in the order one row meets them.  A check that fails
-    keeps its error and leaves only the rows above the offending one to
-    the checks after it, so the error left at the end names the first
-    row with a defect.
-    """
-    error, n = None, len(rows)
-    commas = list(map(str.count, rows, repeat(",")))
-    if commas.count(1) != n:
-        n = next(i for i, c in enumerate(commas) if c != 1)
-        error = ParseError(line_idx[n] + 1, f"expected 'index,value', got {rows[n]!r}")
-    fields = ",".join(rows[:n]).split(",") if n else []
+def _depth_hint(line: str, line_no: int, hint: int) -> int:
+    """The depth hint after one stripped comment or blank line: N for a
+    ``# depth=N`` comment, ``hint`` for any other."""
+    if not (line.startswith("#") and line[1:].strip().startswith("depth=")):
+        return hint
     try:
-        ks = list(map(int, fields[0::2]))
-        vs = list(map(float, fields[1::2]))
-    except ValueError:
-        # find the row that does not convert; the rows above it do
-        ks, vs = [], []
-        for i in range(n):
-            try:
-                k, v = int(fields[2 * i]), float(fields[2 * i + 1])
-            except ValueError as exc:
-                n, error = i, ParseError(line_idx[i] + 1, str(exc))
-                break
-            ks.append(k)
-            vs.append(v)
-    # in Python, before the int64 conversion, so that any label < 1 is named
-    if ks and min(ks) < 1:
-        n = next(i for i, k in enumerate(ks) if k < 1)
-        error = ParseError(line_idx[n] + 1, f"cell index must be >= 1, got {ks[n]}")
-        del ks[n:], vs[n:]
-    x_obs = np.array(vs, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x_obs))
-    if bad.size:
-        n = int(bad[0])
-        error = ParseError(line_idx[n] + 1, f"non-finite value {fields[2 * n + 1]!r}")
-        del ks[n:]
-    # a label past the deepest tree is rejected after the row checks; an
-    # object array keeps one past int64 exact until then
-    labels = np.array(ks, dtype=object if ks and max(ks) > _MAX_LABEL else np.int64)
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
-    # a stable sort keeps equal labels in file order: each repeat follows its first row
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if repeats.size:
-        n = int(repeats.min())
-        error = DuplicateIndex(line_idx[n] + 1, ks[n])
-    if error is not None:
-        raise error
-    return ranked, x_obs[order]
+        return int(line.split("=", 1)[1])
+    except ValueError as exc:
+        raise ParseError(line_no, f"bad depth comment: {exc}") from exc
 
 
 def emit_lineage(tree: ObservationTree, values: ValueTree, params: dict | None = None) -> str:

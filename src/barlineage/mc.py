@@ -280,7 +280,9 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
             raise ValueError(f"table row {name!r}: expected {len(_COLUMNS)} fields: {_CSV_HEADER}")
         try:
             r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
-        except (TypeError, ValueError) as exc:
+            if not 0.0 <= r["rejection_pct"] <= 100.0:  # nan too
+                raise ValueError(f"rejection_pct {r['rejection_pct']} is not in [0, 100]")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"table row {name!r}: {exc}") from None
         grouped.setdefault((r["generation"], r["hypothesis"]), []).append(r)
     thresholds = tuple(r["threshold"] for r in next(iter(grouped.values())))

@@ -47,21 +47,23 @@ def mirror(labels: np.ndarray) -> np.ndarray:
 
 def as_labels(labels, depth: int) -> np.ndarray:
     """``labels`` as a 1-d int64 array (the same array if it is one), after
-    checking that they are integers, strictly ascending and inside
-    [1, 2^(depth+1)); a label out of range raises IndexOutOfRange."""
+    checking on the values as given (so that a label past int64 is named)
+    that they are integers, strictly ascending and inside [1, 2^(depth+1));
+    a label out of range raises IndexOutOfRange."""
     labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "biufO":  # strings, say
+        raise ValueError(f"cell label {str(labels.flat[0])!r} is not an integer")
     if labels.dtype.kind == "f":  # an integer array is not searched
         bad = labels[~(np.isfinite(labels) & (labels == np.trunc(labels)))]
         if bad.size:
             raise ValueError(f"cell label {bad[0]} is not an integer")
-    labels = labels.astype(np.int64, copy=False)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-d array")
     if (labels[1:] <= labels[:-1]).any():
         raise ValueError("labels must be strictly ascending")
     if labels.size and not (1 <= labels[0] and labels[-1] < 1 << (depth + 1)):
         raise IndexOutOfRange(int(labels[0] if labels[0] < 1 else labels[-1]))
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
 """The public API is what the README documents.
 
-Four contracts, checked on the source text:
+Five contracts, checked on the source text:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
 - no module of the package imports a name it never uses;
+- no module defines a module-level ``_private`` name it never reads;
 - the README lists exactly the keys ``mc --config`` reads.
 """
 
@@ -72,6 +73,34 @@ def test_module_uses_every_import(path):
 
 def test_unused_import_is_found():
     assert unused_imports("import math\nimport numpy as np\nnp.zeros(1)\n") == {"math"}
+
+
+def dead_private_names(source: str) -> set[str]:
+    """Module-level ``_name`` functions, classes and assignments that the
+    module never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return {name for name in defined - read if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name(path):
+    assert dead_private_names(path.read_text(encoding="utf-8")) == set()
+
+
+def test_dead_private_name_is_found():
+    source = ("_USED, _SPARE = 1, 2\n_LIMIT: int = 3\n"
+              "def _helper():\n    return _USED\n"
+              "class _Kept:\n    pass\n"
+              "def public(x=_Kept):\n    _local = 4\n    return _helper()\n")
+    assert dead_private_names(source) == {"_SPARE", "_LIMIT"}
 
 
 def test_readme_lists_the_config_keys():

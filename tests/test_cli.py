@@ -335,6 +335,14 @@ class TestBulkRead:
         for path in paths:
             assert _outcome(ingest, path) == _outcome(brute_ingest, path)
         assert per_line_reads == []
+        # the line reader, which reads every file on numpy < 2.4, agrees
+        for path in paths:
+            text = lineage_io.read_text(path)
+            labels, x_obs, hint = lineage_io._read_bulk(text)
+            line_labels, line_x, line_hint = lineage_io._read_lines(text)
+            assert list(line_labels) == labels.tolist()
+            assert line_x.tobytes() == x_obs.tobytes()
+            assert line_hint == hint
 
     @pytest.mark.parametrize("text", ["index,value\n", "# seed=1\nindex,value\n\n  \n"])
     def test_header_only_is_missing_root(self, tmp_path, per_line_reads, text):

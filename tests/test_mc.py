@@ -311,7 +311,10 @@ class TestEmitParse:
         ("", "header"),
         ("\n", "header"),
         (emit_table(toy_table()) + "7,H1,0.01,19.9\n", "'7,H1,0.01,19.9': expected 7 fields"),
-    ], ids=["empty", "blank", "short-row"])
+        *((emit_table(toy_table()) + f"7,H1,0.01,{pct},10,0,0\n",
+           rf"'7,H1,0.01,{pct},10,0,0': rejection_pct \S+ is not in \[0, 100\]")
+          for pct in ("inf", "1e400", "nan", "100.5")),
+    ], ids=["empty", "blank", "short-row", "inf-pct", "overflowing-pct", "nan-pct", "pct-over-100"])
     def test_parse_rejects_unreadable_csv(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text)
@@ -323,7 +326,15 @@ class TestEmitParse:
          ' "n_used": 10, "n_extinct": 0, "n_degenerate": 0}]', '"generation": null.*: int()'),
         ("{}", "list of row objects"),
         ("[]", "no rows"),
-    ], ids=["missing-column", "not-an-object", "null-cell", "object", "empty-list"])
+        *(('[{"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": %s,'
+           ' "n_used": 10, "n_extinct": 0, "n_degenerate": 0}]' % pct,
+           r"rejection_pct \S+ is not in \[0, 100\]")
+          for pct in ("1e400", "Infinity", "NaN", '"inf"', "-0.5")),
+        ('[{"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": 1.0,'
+         ' "n_used": 1e400, "n_extinct": 0, "n_degenerate": 0}]', "infinity to integer"),
+    ], ids=["missing-column", "not-an-object", "null-cell", "object", "empty-list",
+            "overflowing-pct", "inf-pct", "nan-pct", "inf-string-pct", "negative-pct",
+            "overflowing-count"])
     def test_parse_rejects_unreadable_json(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text, fmt="json")

@@ -34,6 +34,14 @@ from conftest import (
 )
 
 
+# the three constructors that check labels
+BUILDS = pytest.mark.parametrize("build", [
+    ObservationTree.from_indices,
+    ObservationTree,
+    lambda depth, labels: ValueTree(depth, np.zeros(len(labels)), labels),
+], ids=["from_indices", "ObservationTree", "ValueTree"])
+
+
 class TestIndexKinematics:
     def test_root(self):
         assert generation(1) == 0
@@ -83,20 +91,31 @@ class TestValidate:
         assert tree.observed_indices().tolist() == [1, 2, 3]
         assert tree.counts().t_star[2] == 3
 
-    @pytest.mark.parametrize("build", [
-        ObservationTree.from_indices,
-        ObservationTree,
-        lambda depth, labels: ValueTree(depth, np.zeros(len(labels)), labels),
-    ], ids=["from_indices", "ObservationTree", "ValueTree"])
+    @BUILDS
     @pytest.mark.parametrize("labels,bad", [
         (np.array([1.0, 2.7, 3.2]), "2.7"),
         ([1, 2.9, 3], "2.9"),
         ([1, 2, float("nan")], "nan"),
         ([1.0, 2.5, 3.0], "2.5"),
+        (["1", "2", "3"], "'1'"),
     ])
     def test_non_integral_label_is_named(self, build, labels, bad):
         with pytest.raises(ValueError, match=f"cell label {bad} is not an integer"):
             build(2, labels)
+
+    # each is checked as given: none is cast to int64 first, wrapped or warned about
+    @BUILDS
+    @pytest.mark.parametrize("labels,bad", [
+        ([1, 1 << 70], 1 << 70),
+        (np.array([1.0, 1e300]), int(1e300)),
+        (np.array([1, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+        ([-1e300, 1.0], int(-1e300)),
+    ], ids=["past-int64", "huge-float", "uint64-max", "huge-negative-float"])
+    def test_out_of_range_label_is_named(self, build, labels, bad):
+        with pytest.raises(IndexOutOfRange) as exc:
+            build(3, labels)
+        assert exc.value.k == bad
+        assert str(exc.value) == f"cell label {bad} out of range"
 
     def test_integral_labels_of_any_type(self):
         for labels in (np.array([3.0, 1.0, 2.0]), [3, 1, 2], range(1, 4), {1: 0.5, 2: 0, 3: 0},
