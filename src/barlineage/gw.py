@@ -29,6 +29,8 @@ _SUM_TOL = 1e-12
 
 # gradient of the mean difference m(p) w.r.t. the 8 stacked probabilities
 MEAN_DIFF_GRADIENT = np.array([0.0, 1.0, 1.0, 2.0, 0.0, -1.0, -1.0, -2.0])
+# presence bits (j0, j1) of outcomes 0 .. 4 as one uint16 each (4: past a law summing under 1)
+_OUTCOME = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 1]], dtype=bool).view(np.uint16).ravel()
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,7 @@ class ReproductionLaw:
     """Offspring law of one mother type: P(j0 daughters of type 0, j1 of type 1).
 
     Field order matches the estimator vector: (0,0), (1,0), (0,1), (1,1).
+    ``cumulative``, their running sums, is found once, at construction.
     """
 
     p00: float
@@ -49,6 +52,8 @@ class ReproductionLaw:
             raise ValueError(f"probabilities must lie in [0, 1], got {v}")
         if not abs(v.sum() - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {v.sum()!r}")
+        object.__setattr__(self, "cumulative", np.cumsum(v))  # not a field
+        self.cumulative.flags.writeable = False  # every simulation shares it
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p00, self.p10, self.p01, self.p11])
@@ -63,10 +68,7 @@ class GwModel:
 
     def descendants_matrix(self) -> np.ndarray:
         """P[i, j] = expected observed daughters of type j per type-i mother."""
-        rows = []
-        for law in (self.law0, self.law1):
-            rows.append([law.p10 + law.p11, law.p01 + law.p11])
-        return np.array(rows)
+        return np.array([[law.p10 + law.p11, law.p01 + law.p11] for law in (self.law0, self.law1)])
 
 
 def dominant_eigen(p: np.ndarray):
@@ -101,21 +103,19 @@ def simulate_observation_tree(
     """
     check_depth(depth)
     u = rng.random((1 << depth) - 1)  # mother k's uniform is u[k - 1]
-    # delta[2k], delta[2k+1] first take mother k's outcome, observed or not:
-    # index #{cum <= u}, 0 -> (0,0), 1 -> (1,0), 2 -> (0,1), 3 -> (1,1) and
-    # 4 (a law summing to just under 1) -> (0,1); so j0 is its parity and j1
-    # is u >= cum[1].  Mothers of type 1 (k = 1, 3, ..) read u[0::2].
+    # pairs[k], mother k's daughters delta[2k], delta[2k+1] as one uint16,
+    # first takes her outcome, observed or not: the number of her type's
+    # cumulative probabilities at or below her uniform.  Mothers of type 1
+    # (k = 1, 3, ..) read u[0::2], those of type 0 (k = 2, 4, ..) u[1::2].
     delta = np.zeros(1 << (depth + 1), dtype=bool)
+    pairs = delta.view(np.uint16)
     for law, k in ((model.law1, 1), (model.law0, 2)):
-        c, v = np.cumsum(law.as_array()), u[k - 1 :: 2]
-        delta[2 * k :: 4] = (v >= c[0]) ^ (v >= c[1]) ^ (v >= c[2]) ^ (v >= c[3])
-        delta[2 * k + 1 :: 4] = v >= c[1]
-    del u, v  # before the tree's arrays are built
+        pairs[k::2] = _OUTCOME[np.searchsorted(law.cumulative, u[k - 1 :: 2], side="right")]
+    del u  # before the tree's arrays are built
     delta[1] = True
     for g in range(depth):  # a daughter stays observed only if her mother is
-        sisters = delta[2 << g : 4 << g].view(np.uint16)  # one entry per sister pair
-        sisters *= delta[1 << g : 2 << g]
-    return ObservationTree(depth, np.flatnonzero(delta))
+        pairs[1 << g : 2 << g] *= delta[1 << g : 2 << g]
+    return ObservationTree._of_valid(depth, np.flatnonzero(delta))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
-from .numerics import replica_stream
+from .numerics import shared_stream
 from .report import TestReport
 from .tree import MAX_DEPTH
 
@@ -127,9 +127,7 @@ def run_test(which_test: str, tree, values) -> TestReport:
 
 def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: int):
     """One replica: simulate, test, return a p-value, EXTINCT or DEGENERATE."""
-    rng = replica_stream(
-        config.master_seed, _HYP_CODE[hypothesis], generation, replica_id
-    )
+    rng = shared_stream(config.master_seed, _HYP_CODE[hypothesis], generation, replica_id)
     gw_model = config.gw_null
     if config.which_test == "gw_mean" and hypothesis == "H1":
         gw_model = config.gw_alt
@@ -226,6 +224,7 @@ def _tabulate(config, keys, per_cell, chunks):
 _COLUMNS = ("generation", "hypothesis", "threshold", "rejection_pct",
             "n_used", "n_extinct", "n_degenerate")
 _TYPES = (int, str, float, float, int, int, int)
+_COUNTS = _COLUMNS[4:]  # one value per cell, repeated on each of its rows
 _CSV_HEADER = ",".join(_COLUMNS)
 
 
@@ -251,12 +250,13 @@ def emit_table(table: McTable, fmt: str = "csv") -> str:
 def parse_table(text: str, fmt: str = "csv") -> McTable:
     """Rebuild an McTable from emit_table output (without p-value archives).
 
-    Every cell must list the same thresholds in the same order, as
-    emit_table writes them.  Rejection counts are recovered from the
-    one-decimal percentage; the recovery is exact whenever
-    n_used <= 1000 (rounding error below half a count), which covers the
-    published experiments.  Input that cannot be read raises ValueError,
-    naming the first row it cannot read; so does a table with no rows.
+    Every cell must list the same thresholds in the same order, and the
+    same counts on each row, as emit_table writes them.  Rejection counts
+    are recovered from the one-decimal percentage; the recovery is exact
+    whenever n_used <= 1000 (rounding error below half a count), which
+    covers the published experiments.  Input that cannot be read raises
+    ValueError naming the first row (or cell) it cannot read; so does a
+    table with no rows.
     """
     if fmt == "json":
         rows = json.loads(text)
@@ -282,6 +282,9 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
             r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
             if not 0.0 <= r["rejection_pct"] <= 100.0:  # nan too
                 raise ValueError(f"rejection_pct {r['rejection_pct']} is not in [0, 100]")
+            if min(r[c] for c in _COUNTS) < 0:
+                raise ValueError(", ".join(f"{c} {r[c]}" for c in _COUNTS) + " must be >= 0")
+            r["rejections"] = round(r["rejection_pct"] / 100.0 * r["n_used"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"table row {name!r}: {exc}") from None
         grouped.setdefault((r["generation"], r["hypothesis"]), []).append(r)
@@ -290,7 +293,8 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
     for key, cell_rows in grouped.items():
         if tuple(r["threshold"] for r in cell_rows) != thresholds:
             raise ValueError(f"cell {key} does not list the thresholds {thresholds}")
-        rej = tuple(round(r["rejection_pct"] / 100.0 * r["n_used"]) for r in cell_rows)
-        r0 = cell_rows[0]
-        cells[key] = McCell(rej, r0["n_used"], r0["n_extinct"], r0["n_degenerate"])
+        counts = {tuple(r[c] for c in _COUNTS) for r in cell_rows}
+        if len(counts) > 1:
+            raise ValueError(f"cell {key}: its rows disagree on {', '.join(_COUNTS)}")
+        cells[key] = McCell(tuple(r["rejections"] for r in cell_rows), *counts.pop())
     return McTable(thresholds, cells)

@@ -8,6 +8,9 @@ streams for different tuples, and normal variates come from numpy's
 ziggurat ``standard_normal`` on that stream.  This triple (Philox,
 splitmix64 keying, ziggurat normals) is the reproducibility contract:
 replica results are bit-identical across runs and worker counts.
+``run_replica`` and ``run_table`` reset one generator per process (per
+thread: ``shared_stream``) to each replica's key, which then reads exactly
+``replica_stream``'s stream; ``replica_stream`` still returns a fresh one.
 
 Stream layout of one Monte Carlo replica of depth n: first 2^n - 1
 uniforms, one per mother slot 1 .. 2^n - 1 in label order (the GW tree,
@@ -20,6 +23,7 @@ this layout changes every table.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -38,14 +42,35 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
-    """Independent, reproducible stream for one (seed, subkeys) tuple."""
+def _stream_key(master_seed: int, subkeys) -> tuple[int, int]:
+    """Philox key (seed, splitmix64 fold of seed and subkeys), all mod 2^64."""
     k0 = int(master_seed) & _MASK64
     acc = _splitmix64(k0)
     for s in subkeys:
         acc = _splitmix64(acc ^ (int(s) & _MASK64))
-    key = np.array([k0, acc], dtype=np.uint64)
+    return k0, acc
+
+
+def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
+    """Independent, reproducible stream for one (seed, subkeys) tuple."""
+    key = np.array(_stream_key(master_seed, subkeys), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_shared = threading.local()  # .generator: built on first use, not at import
+
+
+def shared_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
+    """This thread's one generator, reset to read exactly the stream of
+    ``replica_stream(master_seed, *subkeys)`` until the next call."""
+    generator = getattr(_shared, "generator", None)
+    if generator is None:  # once: Philox() reads OS entropy for a seed it never uses
+        generator = _shared.generator = np.random.Generator(np.random.Philox())
+    # a fresh Philox(key=...): counter 0, empty buffer, no spare uint32
+    state = {"counter": (0, 0, 0, 0), "key": _stream_key(master_seed, subkeys)}
+    generator.bit_generator.state = {"bit_generator": "Philox", "state": state, "uinteger": 0,
+                                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0}
+    return generator
 
 
 def symmetric_2x2(m: np.ndarray):

@@ -100,7 +100,8 @@ class ObservationTree:
     1 is observed, and no observed cell has an unobserved mother.
     Construction also finds each non-root cell's mother position, the
     sister-pair positions and the ObservedCounts, once; the methods below
-    return them, read-only, and are all that the estimators read.
+    return them, read-only, and are all that the estimators read.  A
+    simulator's tree is built by ``_of_valid``, which skips the checks.
     """
 
     depth: int
@@ -110,18 +111,27 @@ class ObservationTree:
     _counts: ObservedCounts = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.depth
-        check_depth(n)
-        labels = np.array(as_labels(self.labels, n))  # a private copy
+        check_depth(self.depth)
+        labels = np.array(as_labels(self.labels, self.depth))  # a private copy
         if not labels.size or labels[0] != 1:
             raise MissingRoot()
-        first, kids = labels[:-1], labels[1:]
+        self._index(self.depth, labels)
         # a cell's mother is the observed label k >> 1, if there is one
-        up = kids >> 1
-        mothers = np.searchsorted(labels, up)
-        bad = kids[labels[mothers] != up]
+        bad = labels[1:][labels[self._mothers] != labels[1:] >> 1]
         if bad.size:
             raise OrphanCell(int(bad[0]))
+
+    @classmethod
+    def _of_valid(cls, depth: int, labels: np.ndarray) -> "ObservationTree":
+        """The tree of int64 ``labels`` valid by construction, which it owns."""
+        tree = object.__new__(cls)
+        tree._index(depth, labels)
+        return tree
+
+    def _index(self, n: int, labels: np.ndarray) -> None:
+        """Keep depth ``n`` and ``labels``, with their positions and counts, frozen."""
+        first, kids = labels[:-1], labels[1:]
+        mothers = np.searchsorted(labels, kids >> 1)
         gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
         # sister when both are observed
@@ -133,6 +143,7 @@ class ObservationTree:
         # every caller shares these arrays
         for arr in (labels, mothers, pairs, z, g_star, counts.t_star, t01):
             arr.flags.writeable = False
+        object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_mothers", mothers)
         object.__setattr__(self, "_pairs", pairs)

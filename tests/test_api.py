@@ -1,16 +1,20 @@
 """The public API is what the README documents.
 
-Five contracts, checked on the source text:
+Five contracts, checked on the source text, and one on a fresh import:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
 - no module of the package imports a name it never uses;
 - no module defines a module-level ``_private`` name it never reads;
-- the README lists exactly the keys ``mc --config`` reads.
+- the README lists exactly the keys ``mc --config`` reads;
+- importing the package and its CLI leaves ``numpy.random`` unloaded.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,14 @@ def test_readme_lists_the_config_keys():
     listed = re.search(r"An `mc --config` file .*?\swith the keys (.*?);", README, re.DOTALL)
     assert listed, "no mc --config key list in README.md"
     assert re.findall(r"`(\w+)`", listed.group(1)) == list(cli._CONFIG_KEYS)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads np.random on first use; a generator built at import would
+    # load it (about 6 MB) in every process that imports the package, such
+    # as the parent of a worker pool, which never draws
+    code = "import sys, barlineage, barlineage.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

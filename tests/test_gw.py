@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from barlineage.errors import (
     NotPositive,
 )
 from barlineage.gw import MEAN_DIFF_GRADIENT, ReproductionEstimate
+from barlineage.tree import ObservedCounts
 
 from conftest import brute_reproduction, brute_simulate_observation_tree, observation_trees
 
@@ -154,6 +156,25 @@ class TestSimulateObservationTree:
         tree = simulate_observation_tree(model, depth, ours)
         assert tree == brute_simulate_observation_tree(model, depth, brute)
         assert ours.random() == brute.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(law0=st.one_of(reproduction_laws(), st.just(SHORT)),
+           law1=st.one_of(reproduction_laws(), st.just(SHORT)),
+           depth=st.integers(1, 12), key=st.integers(0, 2**63 - 1))
+    def test_unchecked_tree_equals_the_checked_one(self, law0, law1, depth, key):
+        # the simulator skips the label checks; the checked constructor, on
+        # the same labels, must find the same positions and counts
+        ours = simulate_observation_tree(GwModel(law0, law1), depth, replica_stream(key))
+        checked = ObservationTree(depth, ours.observed_indices())
+        for read in (ObservationTree.observed_indices, ObservationTree.mother_positions,
+                     ObservationTree.pair_positions):
+            a, b = read(ours), read(checked)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        for f in dataclasses.fields(ObservedCounts):
+            a, b = getattr(ours.counts(), f.name), getattr(checked.counts(), f.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("u,law,kept", [
         (0.0, SHORT, (0, 0)),

@@ -1,5 +1,8 @@
+import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -144,6 +147,30 @@ class TestRunReplica:
         tree = ObservationTree.from_indices(3, range(1, 16))
         with pytest.raises(ValueError):
             run_test("anova", tree, None)
+
+    def test_threads_keep_their_own_streams(self):
+        # each replica re-keys its thread's one generator; threads switched
+        # every microsecond must still give the serial outcomes
+        cfg = table_config(3, master_seed=9)
+        jobs = [range(r, 120, 4) for r in range(4)]
+        serial = [[run_replica(cfg, "H1", 6, r) for r in ids] for ids in jobs]
+        threaded = [None] * len(jobs)
+
+        def work(i):
+            threaded[i] = [run_replica(cfg, "H1", 6, r) for r in jobs[i]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == serial
 
 
 class TestRunTable:
@@ -339,6 +366,32 @@ class TestEmitParse:
         with pytest.raises(ValueError, match=match):
             parse_table(text, fmt="json")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parse_names_the_row_of_an_overflowing_count(self, fmt):
+        # 10**400 reads as an int but not as a float
+        row = (7, "H0", 0.05, 6.4, 10 ** 400, 12, 0)
+        if fmt == "json":
+            text = json.dumps([dict(zip(mc._COLUMNS, row))])
+        else:
+            text = f"{mc._CSV_HEADER}\n{','.join(map(str, row))}\n"
+        with pytest.raises(ValueError, match=r"table row '.*10000.*': int too large"):
+            parse_table(text, fmt=fmt)
+
+    @pytest.mark.parametrize("column", ["n_used", "n_extinct", "n_degenerate"])
+    def test_parse_rejects_a_negative_count(self, column):
+        rows = json.loads(emit_table(toy_table(), fmt="json"))
+        rows[1][column] = -3
+        with pytest.raises(ValueError, match=rf"table row '.*': .*{column} -3.* must be >= 0"):
+            parse_table(json.dumps(rows), fmt="json")
+
+    @pytest.mark.parametrize("column", ["n_used", "n_extinct", "n_degenerate"])
+    def test_parse_rejects_a_cell_whose_rows_disagree(self, column):
+        # rows 0 and 1 are the two thresholds of cell (7, 'H0')
+        rows = json.loads(emit_table(toy_table(), fmt="json"))
+        rows[1][column] += 1
+        with pytest.raises(ValueError, match=r"cell \(7, 'H0'\): its rows disagree"):
+            parse_table(json.dumps(rows), fmt="json")
+
     def test_parse_rejects_csv_without_rows(self):
         with pytest.raises(ValueError, match="no rows"):
             parse_table(emit_table(McTable((0.05,), {})))
@@ -358,8 +411,6 @@ class TestEmitParse:
             assert parse_table(emit_table(t)) == t
 
     def test_json_mirrors_csv(self):
-        import json
-
         t = toy_table()
         rows = json.loads(emit_table(t, fmt="json"))
         assert rows[0] == {

@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlineage import chi2_sf, replica_stream
-from barlineage.numerics import gaussian_pair, symmetric_2x2
+from barlineage.numerics import gaussian_pair, shared_stream, symmetric_2x2
 
 
 class TestSymmetric2x2:
@@ -95,3 +99,59 @@ class TestReplicaStream:
         c = replica_stream(43, 1, 7, 3).random(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# seeds and subkeys are folded mod 2**64, so negative ones and ones past
+# 2**64 name streams too
+KEYS = st.integers(-(2 ** 70), 2 ** 70)
+
+
+def draws(g):
+    """Uniforms, normals, then an odd number of uint32s (leaving half a
+    word buffered) and uniforms again, as bytes."""
+    return b"".join(a.tobytes() for a in (
+        g.random(5), g.standard_normal(7),
+        g.integers(0, 2 ** 32, size=3, dtype=np.uint32), g.random(2)))
+
+
+class TestSharedStream:
+    # what an earlier replica may have left in the shared generator
+    EARLIER = {
+        "random": lambda g: g.random(3),
+        "standard_normal": lambda g: g.standard_normal(3),
+        "uint32": lambda g: g.integers(0, 2 ** 32, size=1, dtype=np.uint32),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=KEYS, subkeys=st.lists(KEYS, max_size=4), earlier_key=KEYS,
+           earlier=st.sampled_from(sorted(EARLIER)))
+    def test_reads_the_replica_stream(self, seed, subkeys, earlier_key, earlier):
+        g = shared_stream(earlier_key)
+        self.EARLIER[earlier](g)
+        if earlier == "uint32":  # half of a 64-bit word is left buffered
+            assert g.bit_generator.state["has_uint32"] == 1
+        assert draws(shared_stream(seed, *subkeys)) == draws(replica_stream(seed, *subkeys))
+
+    def test_is_one_generator(self):
+        assert shared_stream(1) is shared_stream(2, 3)
+
+    def test_each_thread_has_its_own(self):
+        ours = shared_stream(5, 1)
+        head = ours.random(3)
+        other = threading.Thread(target=lambda: shared_stream(9, 9).random(100))
+        other.start()
+        other.join(timeout=30)
+        assert not other.is_alive()
+        tail = ours.random(3)
+        assert np.concatenate([head, tail]).tobytes() == replica_stream(5, 1).random(6).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(a_key=st.lists(KEYS, min_size=1, max_size=3),
+           b_key=st.lists(KEYS, min_size=1, max_size=3))
+    def test_fresh_streams_held_at_once_do_not_interfere(self, a_key, b_key):
+        a, b = replica_stream(*a_key), replica_stream(*b_key)
+        shared = shared_stream(*a_key)
+        interleaved = [(a.random(), b.standard_normal(), shared.random()) for _ in range(4)]
+        assert [x for x, _, _ in interleaved] == replica_stream(*a_key).random(4).tolist()
+        assert [y for _, y, _ in interleaved] == replica_stream(*b_key).standard_normal(4).tolist()
+        assert [z for _, _, z in interleaved] == [x for x, _, _ in interleaved]
