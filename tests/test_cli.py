@@ -594,7 +594,63 @@ class TestTestCommand:
         assert main([]) == 1
 
 
+def mixed_directory(tmp_path):
+    """Good, unreadable, malformed, shallow and degenerate lineage files."""
+    simulate_fixture(tmp_path, "a_good.csv", depth=7, seed=1)
+    (tmp_path / "b_unreadable.csv").write_bytes(b"index,value\n1,0.5\n2,\xff\xfe\n")
+    write(tmp_path, "index,value\n1,0.5\n2,x\n", name="c_malformed.csv")
+    simulate_fixture(tmp_path, "d_shallow.csv", depth=2, seed=3)
+    write(tmp_path, HUGE, name="e_huge.csv")
+    write(tmp_path, "index,value\n" + "".join(f"{k},1.0\n" for k in range(1, 16)),
+          name="f_constant.csv")
+    write(tmp_path, emit_lineage(*overflowing_leaves()), name="g_leaves.csv")
+    chain = zip((1, 2, 5, 10, 21, 42, 85), (0.3, -1.2, 0.8, 2.1, -0.4, 0.9, 1.7))
+    write(tmp_path, "index,value\n" + "".join(f"{k},{v}\n" for k, v in chain),
+          name="h_chain.csv")  # no sister pair
+    (tmp_path / "i_sub.csv").mkdir()
+    simulate_fixture(tmp_path, "j_good.csv", depth=8, seed=2)
+    write(tmp_path, "index,value\n1,0.5\n4,1.0\n", name="k_orphan.csv")
+    write(tmp_path, CANCELLING, name="l_cancel.csv")
+    return tmp_path
+
+
+_SINGULAR = "design matrix for type 0 daughters is numerically singular (cond ~ inf)"
+_NO_VARIANCE = "estimated variance is degenerate: mean-difference variance 0"
+# each --which's stderr line for the degenerate files of mixed_directory
+_DEGENERATE = {
+    "gw": {"e_huge": _NO_VARIANCE, "f_constant": _NO_VARIANCE, "g_leaves": _NO_VARIANCE,
+           "h_chain": _NO_VARIANCE, "l_cancel": _NO_VARIANCE},
+    "coeff": {"e_huge": _SINGULAR, "f_constant": _SINGULAR, "g_leaves":
+              "estimated variance is degenerate: covariance of (a - c, b - d): lmax inf, det nan",
+              "l_cancel": _SINGULAR},
+    "fixed": {"e_huge": _SINGULAR, "f_constant": _SINGULAR,
+              "g_leaves": "estimated variance is degenerate: fixed-point variance nan",
+              "l_cancel": _SINGULAR},
+}
+
+
 class TestBatch:
+    @pytest.mark.parametrize("which", sorted(_DEGENERATE))
+    def test_stderr_lines_in_file_order(self, tmp_path, capsys, which):
+        d = mixed_directory(tmp_path)
+        assert main(["batch", str(d), "--which", which]) == 0
+        reasons = {
+            "b_unreadable": "line 3: not UTF-8 (invalid start byte)",
+            "c_malformed": "line 3: could not convert string to float: 'x'",
+            "d_shallow": "skipped, depth 2 < --min-generations 3",
+            "i_sub": f"[Errno 21] Is a directory: '{d / 'i_sub.csv'}'",
+            "k_orphan": "cell 4 is observed but its mother 2 is not",
+            **_DEGENERATE[which],
+        }
+        expected = "".join(f"{d / name}.csv: {reasons[name]}\n" for name in sorted(reasons))
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        rows = [ln.split(",") for ln in captured.out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["a_good.csv", "e_huge.csv", "f_constant.csv",
+                                        "g_leaves.csv", "h_chain.csv", "j_good.csv",
+                                        "l_cancel.csv"]
+        assert [r[0][:-4] for r in rows if r[2] == "nan"] == sorted(_DEGENERATE[which])
+
     def test_directory_scan(self, tmp_path, capsys):
         simulate_fixture(tmp_path, "a.csv", depth=7, seed=1)
         simulate_fixture(tmp_path, "b.csv", depth=7, seed=2)
