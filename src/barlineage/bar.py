@@ -19,10 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateVariance, NearUnitRoot, SingularDesign
+from .errors import DegenerateVariance, NearUnitRoot, SingularDesign, fail_rows
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
-from .report import TestReport
-from .tree import ObservationTree, as_labels, check_depth, mirror
+from .report import TestReport, outcomes
+from .tree import Forest, ObservationTree, as_labels, at_row, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
@@ -149,59 +149,73 @@ def simulate_bar_values(
 
 @dataclass(frozen=True, eq=False)
 class SufficientStats:
-    """Design sums over observed mother-daughter pairs.
+    """Design sums over observed mother-daughter pairs, of one tree or,
+    with a leading row axis, of each row of a Forest.
 
     s0/s1/s01 are the 2x2 moment sums [[1, X], [X, X^2]] weighted by the
     presence of the even daughter, odd daughter, or both; ``rhs`` is the
     4-vector of daughter-value cross sums.  ``counts`` is
-    (|T*_{n-1}|, |T*01_{n-1}|, |T*_n|) for a depth-n tree.
+    (|T*_{n-1}|, |T*01_{n-1}|, |T*_n|) for a depth-n tree (ints, or one
+    array per count).  ``errors`` is None for one tree, whose first failed
+    check raises; for a forest it holds each row's first StatError, and a
+    failed row carries on as nan.
     """
 
     s0: np.ndarray
     s1: np.ndarray
     s01: np.ndarray
     rhs: np.ndarray
-    counts: tuple[int, int, int]
+    counts: tuple
+    errors: list | None = None
 
     @cached_property
     def design_inverse(self) -> np.ndarray:
-        """Inverses of s0 and s1 as a (2, 2, 2) stack, computed on first use."""
-        adj, det, lmax = symmetric_2x2(np.stack([self.s0, self.s1]))
+        """Inverses of s0 and s1 as a (..., 2, 2, 2) stack, computed on first use."""
+        s = np.concatenate([self.s0, self.s1], axis=-2).reshape(*self.s0.shape[:-2], 2, 2, 2)
+        adj, det, lmax = symmetric_2x2(s)
         # the condition number is lmax^2 / det; a nan or inf moment fails too
         ok = (0 < det) & (det < np.inf) & (lmax * lmax <= MAX_COND * det)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise SingularDesign(i, lmax[i] ** 2 / det[i] if 0 < det[i] < np.inf else np.inf)
-        return adj / det[:, None, None]
+
+        def singular(r):
+            i = int(np.argmin(at_row(ok, r)))
+            d, lm = at_row(det, r)[i], at_row(lmax, r)[i]
+            return SingularDesign(i, lm ** 2 / d if 0 < d < np.inf else np.inf)
+
+        fail_rows(self.errors, ~(ok[..., 0] & ok[..., 1]), singular)
+        return adj / det[..., None, None]
 
 
-def _daughters(values: ValueTree, tree: ObservationTree):
-    """The traits of the observed daughters (every observed cell but the
-    root, in label order), of each one's mother, and whether each is odd."""
-    x = values.observed(tree)
-    return x[1:], x[tree.mother_positions()], (tree.observed_indices()[1:] & 1).astype(bool)
+def _forest(values, tree) -> Forest:
+    """``values`` if it is a Forest (``tree`` None), else the one-tree forest."""
+    return values if tree is None else Forest.of([tree], [values], single=True)
 
 
-def _moment(xm: np.ndarray) -> np.ndarray:
-    sx, sxx = xm.sum(), (xm * xm).sum()
-    return np.array([[xm.size, sx], [sx, sxx]], dtype=float)
+def _sums(ids, size, *weights) -> np.ndarray:
+    """(len(weights), size): each weight's sum per bin of ``ids`` (a count
+    for None), taken left to right, so that it does not depend on the
+    other bins; rows [0, 1, 1, 2] give the moments [[n, sx], [sx, sxx]]."""
+    return np.array([np.bincount(ids, w, size) for w in weights])
 
 
-def sufficient_stats(values: ValueTree, tree: ObservationTree) -> SufficientStats:
-    n = tree.depth
-    xd, xm, odd = _daughters(values, tree)
-    (xm0, x0), (xm1, x1) = ((xm[m], xd[m]) for m in (~odd, odd))
-    rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
-    both = xm[tree.pair_positions() - 1]  # the mother of each sister pair
-    c = tree.counts()
-    counts = (int(c.t_star[n - 1]), int(c.t01[n - 1]), int(c.t_star[n]))
-    return SufficientStats(_moment(xm0), _moment(xm1), _moment(both), rhs, counts)
+def sufficient_stats(values, tree=None) -> SufficientStats:
+    """The sums of one tree, or of each row of the Forest ``values``."""
+    f = _forest(values, tree)
+    rows, i, x = len(f.counts), f.index, f.x
+    xm = x[f.mothers]
+    both = xm[f.pairs]  # the mother of each sister pair
+    # bins 2r and 2r + 1 hold row r's even and odd daughters, bin 2R the roots
+    sums = _sums(f.group, 2 * rows + 1, None, xm, xm * xm, x, xm * x)[:, :-1]
+    design = sums[[0, 1, 1, 2]].T.reshape(rows, 2, 2, 2)
+    s01 = _sums(f.pair_rows, rows, None, both, both * both)[[0, 1, 1, 2]].T.reshape(rows, 2, 2)
+    counts = tuple(f.counts[0, :3].tolist()) if f.single else tuple(f.counts[:, :3].T)
+    return SufficientStats(design[i, 0], design[i, 1], s01[i], sums[3:].T.reshape(rows, 4)[i],
+                           counts, f.row_errors())
 
 
 def ls_estimate(stats: SufficientStats) -> np.ndarray:
     """Least-squares (a, b, c, d): one 2x2 solve per daughter type."""
-    inv0, inv1 = stats.design_inverse
-    return np.concatenate([inv0 @ stats.rhs[:2], inv1 @ stats.rhs[2:]])
+    rhs = stats.rhs.reshape(*stats.rhs.shape[:-1], 2, 1, 2)
+    return (stats.design_inverse * rhs).sum(axis=-1).reshape(stats.rhs.shape)
 
 
 @dataclass(frozen=True)
@@ -211,131 +225,123 @@ class NoiseEstimate:
     no_sister_pairs: bool = False
 
 
-def residual_noise_estimates(
-    values: ValueTree, tree: ObservationTree, theta
-) -> NoiseEstimate:
+def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     """Residual variance and sister covariance from the fitted recursion,
-    with one residual per observed daughter (type-0 squares summed first).
+    with one residual per observed daughter (type-0 squares summed first),
+    of one tree or of each row of the Forest ``values`` (``tree`` None).
 
     With no observed sister pair the covariance is reported as 0 and
     flagged instead of raising, so callers can still emit a report.
     """
-    a, b, c, d = np.asarray(theta, dtype=float)
-    n = tree.depth
-    xd, xm, odd = _daughters(values, tree)
-    e = xd - np.where(odd, c, a) - np.where(odd, d, b) * xm
-    cnt = tree.counts()
-    sigma2_hat = float(np.square(e[~odd]).sum() + np.square(e[odd]).sum()) / int(cnt.t_star[n])
-    t01 = int(cnt.t01[n - 1])
-    if t01 == 0:
-        return NoiseEstimate(sigma2_hat, 0.0, no_sister_pairs=True)
-    # the even daughter at position p has residual e[p - 1], her sister e[p]
-    p = tree.pair_positions()
-    rho_hat = float((e[p - 1] * e[p]).sum()) / t01
-    return NoiseEstimate(sigma2_hat, rho_hat)
+    f = _forest(values, tree)
+    rows, i, t01 = len(f.counts), f.index, f.counts[:, 1]
+    # each cell's (intercept, slope): (a, b) if even, (c, d) if odd; a root's is dropped
+    coef = np.asarray(theta, dtype=float).reshape(-1, 2).take(f.group, axis=0, mode="clip")
+    e = f.x - coef[:, 0] - coef[:, 1] * f.x[f.mothers]
+    sq = np.bincount(f.group, e * e, 2 * rows + 1)
+    sigma2_hat = (sq[0:-1:2] + sq[1:-1:2]) / f.counts[:, 2]
+    # the even daughter at p has residual e[p], her sister e[p + 1]
+    rho_hat = np.bincount(f.pair_rows, e[f.pairs] * e[1:][f.pairs], rows) / np.maximum(t01, 1)
+    return NoiseEstimate(sigma2_hat[i], rho_hat[i], (t01 == 0)[i])
 
 
-def asymptotic_covariance(stats: SufficientStats, sigma2_hat: float, rho_hat: float):
+def _product(m, n) -> np.ndarray:
+    """m @ n for (..., 2, 2) stacks, one product per element."""
+    return (m[..., :, :, None] * n[..., None, :, :]).sum(axis=-2)
+
+
+def asymptotic_covariance(stats: SufficientStats, sigma2_hat, rho_hat):
     """Sandwich covariance of sqrt(|T*_{n-1}|) (theta_hat - theta).
 
     C = |T*| Sigma^-1 Gamma_hat |T*| Sigma^-1 with Sigma = blockdiag(S0, S1)
     and Gamma_hat = |T*|^-1 [[s2 S0, rho S01], [rho S01, s2 S1]], whose
     blocks are t s2 S0^-1, t s2 S1^-1 and t rho S0^-1 S01 S1^-1.
     """
-    t = stats.counts[0]
-    inv0, inv1 = stats.design_inverse
-    c = np.empty((4, 4))
-    c[:2, :2] = (t * sigma2_hat) * inv0
-    c[2:, 2:] = (t * sigma2_hat) * inv1
-    c[:2, 2:] = (t * rho_hat) * (inv0 @ stats.s01 @ inv1)
-    c[2:, :2] = c[:2, 2:].T
+    t = np.asarray(stats.counts[0])
+    inv = stats.design_inverse
+    inv0, inv1 = inv[..., 0, :, :], inv[..., 1, :, :]
+    ts2, trho = (np.asarray(t * v)[..., None, None] for v in (sigma2_hat, rho_hat))
+    c = np.empty(t.shape + (4, 4))
+    c[..., :2, :2] = ts2 * inv0
+    c[..., 2:, 2:] = ts2 * inv1
+    c[..., :2, 2:] = trho * _product(_product(inv0, stats.s01), inv1)
+    c[..., 2:, :2] = np.swapaxes(c[..., :2, 2:], -1, -2)
     return c
 
 
 @dataclass(frozen=True, eq=False)
 class BarEstimate:
-    """Full estimation output for one (values, observations) pair."""
+    """Full estimation output for one (values, observations) pair, or with
+    a leading row axis for each row of a Forest (``warnings`` then holds
+    one tuple per row, and ``errors`` each row's first StatError)."""
 
     theta: np.ndarray
     sigma2_hat: float
     rho_hat: float
     cov: np.ndarray
-    counts: tuple[int, int, int]
+    counts: tuple
     warnings: tuple = ()
+    errors: list | None = None
 
 
-def estimate_bar(values: ValueTree, tree: ObservationTree) -> BarEstimate:
-    """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled."""
-    stats = sufficient_stats(values, tree)
+def estimate_bar(values, tree=None) -> BarEstimate:
+    """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled,
+    for one tree or for each row of the Forest ``values``."""
+    f = _forest(values, tree)
+    stats = sufficient_stats(f)
     theta = ls_estimate(stats)
-    noise = residual_noise_estimates(values, tree, theta)
+    noise = residual_noise_estimates(f, None, theta)
     cov = asymptotic_covariance(stats, noise.sigma2_hat, noise.rho_hat)
-    warns = ("no_sister_pairs",) if noise.no_sister_pairs else ()
-    return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts, warns)
+    warns = [("no_sister_pairs",) if w else () for w in np.atleast_1d(noise.no_sister_pairs)]
+    return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts,
+                       warns[0] if f.single else warns, stats.errors)
 
 
-def _base_estimates(est: BarEstimate) -> dict:
-    a, b, c, d = est.theta
-    return {
-        "a": float(a),
-        "b": float(b),
-        "c": float(c),
-        "d": float(d),
-        "sigma2": est.sigma2_hat,
-        "rho": est.rho_hat,
-    }
+def _report(test, est, r, statistic, df, estimates) -> TestReport:
+    """Row ``r``'s TestReport, with the BAR estimates in front of ``estimates``."""
+    a, b, c, d = at_row(est.theta, r)
+    statistic = float(at_row(statistic, r))
+    base = {"a": float(a), "b": float(b), "c": float(c), "d": float(d),
+            "sigma2": float(at_row(est.sigma2_hat, r)), "rho": float(at_row(est.rho_hat, r))}
+    return TestReport(test=test, statistic=statistic, df=df, p_value=chi2_sf(statistic, df),
+                      n_tstar=int(at_row(est.counts[0], r)), estimates={**base, **estimates},
+                      warnings=list(at_row(est.warnings, r)))
 
 
-def coefficient_test(est: BarEstimate) -> TestReport:
-    """Wald test of (a, b) = (c, d), chi-square with 2 df."""
-    t, c = est.counts[0], est.cov
+def coefficient_test(est: BarEstimate):
+    """Wald test of (a, b) = (c, d), chi-square with 2 df; for a forest's
+    estimate, each row's TestReport or StatError."""
+    errors, c = est.errors and list(est.errors), est.cov
     # the covariance of (a - c, b - d), C00 + C11 - (C01 + C10)
-    adj, det, lmax = symmetric_2x2((c[:2, :2] + c[2:, 2:]) - (c[:2, 2:] + c[2:, :2]))
+    adj, det, lmax = symmetric_2x2((c[..., :2, :2] + c[..., 2:, 2:])
+                                   - (c[..., :2, 2:] + c[..., 2:, :2]))
     # VARIANCE_FLOOR < lmin = det / lmax and lmax <= MAX_COND * lmin, without
     # dividing; the negated test rejects nan and inf
-    if not (0 < lmax and VARIANCE_FLOOR * lmax < det and lmax * lmax <= MAX_COND * det):
-        raise DegenerateVariance(f"covariance of (a - c, b - d): lmax {lmax:.3g}, det {det:.3g}")
-    diff = est.theta[:2] - est.theta[2:]
-    statistic = float(t * (diff @ adj @ diff) / det)
-    return TestReport(
-        test="coefficient",
-        statistic=statistic,
-        df=2,
-        p_value=chi2_sf(statistic, 2),
-        n_tstar=t,
-        estimates={**_base_estimates(est), "diff": diff.tolist()},
-        warnings=list(est.warnings),
-    )
+    ok = (0 < lmax) & (VARIANCE_FLOOR * lmax < det) & (lmax * lmax <= MAX_COND * det)
+    fail_rows(errors, ~ok, lambda r: DegenerateVariance(
+        f"covariance of (a - c, b - d): lmax {at_row(lmax, r):.3g}, det {at_row(det, r):.3g}"))
+    diff = est.theta[..., :2] - est.theta[..., 2:]
+    quad = ((diff[..., :, None] * adj).sum(axis=-2) * diff).sum(axis=-1)
+    statistic = np.asarray(est.counts[0]) * quad / det
+    return outcomes(errors, lambda r: _report("coefficient", est, r, statistic, 2,
+                                              {"diff": at_row(diff, r).tolist()}))
 
 
-def fixed_point_test(est: BarEstimate) -> TestReport:
-    """Wald test of a/(1-b) = c/(1-d), chi-square with 1 df."""
-    a, b, c, d = est.theta
-    if abs(1.0 - b) <= UNIT_ROOT_GUARD:
-        raise NearUnitRoot("b_hat", 1.0 - b)
-    if abs(1.0 - d) <= UNIT_ROOT_GUARD:
-        raise NearUnitRoot("d_hat", 1.0 - d)
+def fixed_point_test(est: BarEstimate):
+    """Wald test of a/(1-b) = c/(1-d), chi-square with 1 df; for a forest's
+    estimate, each row's TestReport or StatError."""
+    errors = est.errors and list(est.errors)
+    a, b, c, d = est.theta.T
+    for name, v in (("b_hat", 1.0 - b), ("d_hat", 1.0 - d)):
+        fail_rows(errors, abs(v) <= UNIT_ROOT_GUARD,
+                  lambda r, name=name, v=v: NearUnitRoot(name, at_row(v, r)))
     fp0, fp1 = a / (1.0 - b), c / (1.0 - d)
-    grad = np.array(
-        [1.0 / (1.0 - b), a / (1.0 - b) ** 2, -1.0 / (1.0 - d), -c / (1.0 - d) ** 2]
-    )
-    delta_f = float(grad @ est.cov @ grad)
-    if not VARIANCE_FLOOR < delta_f < np.inf:  # nan fails too
-        raise DegenerateVariance(f"fixed-point variance {delta_f:.3g}")
+    grad = np.array([1.0 / (1.0 - b), a / (1.0 - b) ** 2, -1.0 / (1.0 - d), -c / (1.0 - d) ** 2]).T
+    delta_f = ((grad[..., :, None] * est.cov).sum(axis=-2) * grad).sum(axis=-1)
+    fail_rows(errors, ~((VARIANCE_FLOOR < delta_f) & (delta_f < np.inf)),  # nan fails too
+              lambda r: DegenerateVariance(f"fixed-point variance {at_row(delta_f, r):.3g}"))
     diff = fp0 - fp1
-    statistic = est.counts[0] * diff * diff / delta_f
-    return TestReport(
-        test="fixed_point",
-        statistic=statistic,
-        df=1,
-        p_value=chi2_sf(statistic, 1),
-        n_tstar=est.counts[0],
-        estimates={
-            **_base_estimates(est),
-            "fixed_point_even": fp0,
-            "fixed_point_odd": fp1,
-            "diff": diff,
-            "variance": delta_f,
-        },
-        warnings=list(est.warnings),
-    )
+    statistic = np.asarray(est.counts[0]) * diff * diff / delta_f
+    return outcomes(errors, lambda r: _report("fixed_point", est, r, statistic, 1, {
+        "fixed_point_even": float(at_row(fp0, r)), "fixed_point_odd": float(at_row(fp1, r)),
+        "diff": float(at_row(diff, r)), "variance": float(at_row(delta_f, r))}))

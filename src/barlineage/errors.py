@@ -5,6 +5,8 @@ errors carry whatever the caller needs to decide whether the data set is
 salvageable (a design block's closed-form condition number, a denominator).
 """
 
+import numpy as np
+
 
 class BarLineageError(Exception):
     """Base class for all library errors."""
@@ -39,6 +41,19 @@ class DepthError(TreeError):
 
 class StatError(BarLineageError):
     """A statistic could not be computed from the data at hand."""
+
+
+def fail_rows(errors, bad, error) -> None:
+    """Give each row that ``bad`` marks the StatError ``error(r)``: for one
+    tree (``errors`` None) raise it, with r 0 if ``bad`` is an array and
+    None if it is one bool; for a forest keep it as errors[r], unless an
+    earlier check failed row r."""
+    if errors is None:
+        if bad.any():
+            raise error(0 if np.ndim(bad) else None)
+        return
+    for r in np.flatnonzero(bad):
+        errors[r] = errors[r] or error(r)
 
 
 class NotPositive(StatError):

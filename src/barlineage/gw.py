@@ -20,10 +20,11 @@ from .errors import (
     DegenerateVariance,
     InsufficientData,
     NotPositive,
+    fail_rows,
 )
 from .numerics import VARIANCE_FLOOR, chi2_sf
-from .report import TestReport
-from .tree import ObservationTree, check_depth
+from .report import TestReport, outcomes
+from .tree import Forest, ObservationTree, at_row, check_depth
 
 _SUM_TOL = 1e-12
 
@@ -120,83 +121,113 @@ def simulate_observation_tree(
 
 @dataclass(frozen=True, eq=False)
 class ReproductionEstimate:
-    """Empirical reproduction probabilities from one observation tree.
+    """Empirical reproduction probabilities from one observation tree, or
+    with a leading row axis from each row of a Forest.
 
     ``phat`` stacks the type-0 block then the type-1 block, each in the
     order (0,0), (1,0), (0,1), (1,1).  ``mother_counts`` are the
     numbers of observed mothers-of-record per type (denominators);
     a zero count leaves that block at 0.  ``zhat`` are those counts over
     ``t_star``, the observed sub-tree size that also normalizes the test
-    statistic.
+    statistic.  ``errors`` is None for one tree; for a forest it holds
+    each row's first StatError.
     """
 
     phat: np.ndarray
     mother_counts: tuple[int, int]
     zhat: tuple[float, float]
     t_star: int
+    errors: list | None = None
 
 
-def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
-    """Empirical reproduction probabilities using all data in the tree.
+def _forest(tree) -> Forest:
+    """``tree`` if it is a Forest, else the forest that stands for it."""
+    return tree if isinstance(tree, Forest) else Forest.of([tree], single=True)
+
+
+def _reproduction(f: Forest):
+    """Each row's (phat, mother counts, zhat), stacked."""
+    rows = len(f.counts)
+    # each observed daughter adds 1 (even) or 2 (odd) to her mother's code (a root to her own)
+    outcome = np.bincount(f.mothers, weights=1 + (f.labels & 1), minlength=f.labels.size)
+    code = 4 * f.group + outcome.astype(np.int64)  # 8 * row + 4 * type + outcome
+    block = np.bincount(code, minlength=8 * rows + 4)[:8 * rows]
+    # the deepest generation's cells, all of outcome (0,0), are no mothers of record
+    block[::4] -= f.counts[:, 3:5].ravel()
+    block = block.reshape(rows, 2, 4)
+    counts = block.sum(axis=-1)
+    phat = (block / np.maximum(counts, 1)[:, :, None]).reshape(rows, 8)
+    return phat, counts, counts / f.counts[:, :1]  # over the cells of generations 0 .. n-1
+
+
+def estimate_reproduction(tree) -> ReproductionEstimate:
+    """Empirical reproduction probabilities using all data in the tree,
+    or in each row of a Forest.
 
     Mothers-of-record are the observed cells of generations 1 .. n-1;
     their daughter pair lands in the deepest generation at most.  The
     outcome code [2m observed] + 2 * [2m+1 observed] of mother m indexes
     the order (0,0), (1,0), (0,1), (1,1) within her type's block.
     """
-    n = tree.depth
-    if n < 2:
-        raise InsufficientData("estimating reproduction laws needs depth >= 2")
-    labels = tree.observed_indices()
-    t_star = int(tree.counts().t_star[n - 1])  # cells of generations 0 .. n-1
-    # each observed daughter adds 1 (even) or 2 (odd) to her mother's code
-    outcome = np.bincount(tree.mother_positions(), weights=1 + (labels[1:] & 1),
-                          minlength=labels.size)
-    m = labels[1:t_star]  # skip the root
-    code = 4 * (m & 1) + outcome[1:t_star].astype(np.int64)
-    block = np.bincount(code, minlength=8).reshape(2, 4)
-    counts = block.sum(axis=1)
-    phat = (block / np.maximum(counts, 1)[:, None]).ravel()
-    zhat = (counts[0] / t_star, counts[1] / t_star)
-    return ReproductionEstimate(phat, (int(counts[0]), int(counts[1])), zhat, t_star)
+    f = _forest(tree)
+    errors = f.row_errors()
+    fail_rows(errors, f.counts[:, 5] < 2,
+              lambda r: InsufficientData("estimating reproduction laws needs depth >= 2"))
+    phat, counts, zhat = _reproduction(f)
+    if f.single:
+        return ReproductionEstimate(phat[0], tuple(counts[0].tolist()), tuple(zhat[0].tolist()),
+                                    int(f.counts[0, 0]))
+    return ReproductionEstimate(phat, counts, zhat, f.counts[:, 0], errors)
 
 
 def reproduction_covariance(est: ReproductionEstimate) -> np.ndarray:
     """Block-diagonal multinomial sandwich: blockdiag(V0/z0, V1/z1)."""
-    v = np.zeros((8, 8))
-    for i in (0, 1):
-        z = est.zhat[i]
-        if z <= 0:
-            raise DegenerateTypeProportion(i)
-        p = est.phat[4 * i : 4 * i + 4]
-        v[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = (np.diag(p) - np.outer(p, p)) / z
+    z = np.asarray(est.zhat, dtype=float)
+    fail_rows(est.errors, (z <= 0).any(axis=-1),
+              lambda r: DegenerateTypeProportion(int(np.argmax(at_row(z, r) <= 0))))
+    p = est.phat.reshape(*z.shape, 4)
+    blocks = (p[..., :, None] * np.eye(4) - p[..., :, None] * p[..., None, :]) / z[..., None, None]
+    v = np.zeros(z.shape[:-1] + (8, 8))
+    v[..., :4, :4], v[..., 4:, 4:] = blocks[..., 0, :, :], blocks[..., 1, :, :]
     return v
 
 
-def gw_mean_test(tree: ObservationTree) -> TestReport:
-    """Wald test for equality of the two reproduction laws' means."""
-    if tree.depth < 3:
-        raise InsufficientData("the mean test needs depth >= 3")
-    est = estimate_reproduction(tree)
-    if est.mother_counts[0] == 0 or est.mother_counts[1] == 0:
-        raise InsufficientData(f"mothers of record per type: {est.mother_counts}")
-    v = reproduction_covariance(est)
-    m_hat = float(MEAN_DIFF_GRADIENT @ est.phat)
-    delta_gw = float(MEAN_DIFF_GRADIENT @ v @ MEAN_DIFF_GRADIENT)
-    if not VARIANCE_FLOOR < delta_gw < np.inf:  # nan fails too
-        raise DegenerateVariance(f"mean-difference variance {delta_gw:.3g}")
-    statistic = est.t_star * m_hat * m_hat / delta_gw
-    return TestReport(
-        test="gw_mean",
-        statistic=statistic,
-        df=1,
-        p_value=chi2_sf(statistic, 1),
-        n_tstar=est.t_star,
-        estimates={
-            "m_hat": m_hat,
-            "variance": delta_gw,
-            "phat": est.phat.tolist(),
-            "zhat": list(est.zhat),
-            "mother_counts": list(est.mother_counts),
-        },
-    )
+def gw_mean_test(tree):
+    """Wald test for equality of the two reproduction laws' means; for a
+    Forest, each row's TestReport or StatError."""
+    f = _forest(tree)
+    errors = f.row_errors()
+    fail_rows(errors, f.counts[:, 5] < 3,
+              lambda r: InsufficientData("the mean test needs depth >= 3"))
+    phat, counts, zhat = _reproduction(f)  # with depth >= 3, n >= 2 holds
+    fail_rows(errors, counts.min(axis=-1) == 0, lambda r: InsufficientData(
+        f"mothers of record per type: {tuple(counts[r].tolist())}"))
+    # g'Vg for V = reproduction_covariance: per type, (sum g^2 p - (sum g p)^2) / z
+    gp = (phat * MEAN_DIFF_GRADIENT).reshape(-1, 2, 4)
+    m = gp.sum(axis=-1)
+    var = ((gp * MEAN_DIFF_GRADIENT.reshape(2, 4)).sum(axis=-1) - m * m) / zhat
+    m_hat, delta_gw = m[:, 0] + m[:, 1], var[:, 0] + var[:, 1]
+    fail_rows(errors, ~((VARIANCE_FLOOR < delta_gw) & (delta_gw < np.inf)),  # nan fails too
+              lambda r: DegenerateVariance(f"mean-difference variance {delta_gw[r]:.3g}"))
+    t_star = f.counts[:, 0]
+    statistic = t_star * m_hat * m_hat / delta_gw
+
+    def report(r):
+        r = r or 0  # one tree is row 0
+        stat = float(statistic[r])
+        return TestReport(
+            test="gw_mean",
+            statistic=stat,
+            df=1,
+            p_value=chi2_sf(stat, 1),
+            n_tstar=int(t_star[r]),
+            estimates={
+                "m_hat": float(m_hat[r]),
+                "variance": float(delta_gw[r]),
+                "phat": phat[r].tolist(),
+                "zhat": zhat[r].tolist(),
+                "mother_counts": counts[r].tolist(),
+            },
+        )
+
+    return outcomes(errors, report)

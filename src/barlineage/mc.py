@@ -23,8 +23,7 @@ import numpy as np
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
 from .numerics import shared_stream
-from .report import TestReport
-from .tree import MAX_DEPTH
+from .tree import MAX_DEPTH, Forest
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -113,16 +112,21 @@ def table_config(table: int, **fields) -> McConfig:
     return replace(_PRESETS[table], **fields)
 
 
-def run_test(which_test: str, tree, values) -> TestReport:
-    """Run one of ``TESTS`` on a lineage.  ``values`` is not read by
-    ``gw_mean`` and may be None there."""
+def run_test(which_test: str, tree, values=None):
+    """Run one of ``TESTS`` on a lineage: its TestReport, or the raise of
+    its StatError.  ``values`` is not read by ``gw_mean`` and may be None
+    there.  Given a Forest as ``tree``, run it on every row at once: a list
+    of each row's TestReport or StatError."""
     check_field("which_test", which_test)
-    if which_test == "gw_mean":
-        return gw.gw_mean_test(tree)
-    est = bar.estimate_bar(values, tree)
-    if which_test == "coefficient":
-        return bar.coefficient_test(est)
-    return bar.fixed_point_test(est)
+    if not isinstance(tree, Forest):
+        tree = Forest.of([tree], None if values is None else [values], single=True)
+    with np.errstate(all="ignore"):  # a non-finite row ends in its StatError
+        if which_test == "gw_mean":
+            return gw.gw_mean_test(tree)
+        est = bar.estimate_bar(tree)
+        if which_test == "coefficient":
+            return bar.coefficient_test(est)
+        return bar.fixed_point_test(est)
 
 
 def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: int):

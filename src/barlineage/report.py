@@ -32,3 +32,11 @@ class TestReport:
             "estimates": self.estimates,
             "warnings": list(self.warnings),
         }
+
+
+def outcomes(errors, report):
+    """One tree's ``report(None)`` (``errors`` None); for a forest, each
+    row's first StatError or else its ``report(r)``."""
+    if errors is None:
+        return report(None)
+    return [e or report(r) for r, e in enumerate(errors)]

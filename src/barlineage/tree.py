@@ -10,11 +10,16 @@ that array, where its observed sister pairs sit, and its
 ObservedCounts.  The estimators read a tree through those three and
 the labels alone (a daughter's type is her label's parity), so nothing
 here grows with 2**depth.
+
+A Forest stacks R such trees, row after row, for the estimators: each
+per-row sum is a weighted ``bincount`` over the row ids, so that a row's
+results do not depend on the rows beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +82,8 @@ class ObservedCounts:
     the root by convention: (0, 1)).  ``t01`` counts mothers in the
     sub-tree up to that generation with BOTH daughters observed, so its
     entry at depth equals the one at depth-1 (daughters of the deepest
-    generation are never observed).
+    generation are never observed).  ``last`` is what the estimators
+    read: t_star[depth-1], t01[depth-1], t_star[depth], z[depth] and depth.
     """
 
     depth: int
@@ -85,6 +91,7 @@ class ObservedCounts:
     g_star: np.ndarray   # (depth+1,) observed cells per generation
     t_star: np.ndarray   # (depth+1,) cumulative observed cells
     t01: np.ndarray      # (depth+1,) cumulative both-daughters-observed mothers
+    last: np.ndarray     # (6,) ints
 
     @property
     def extinct(self) -> bool:
@@ -98,8 +105,8 @@ class ObservationTree:
     Invariants (checked at construction): the labels are integers,
     strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
     1 is observed, and no observed cell has an unobserved mother.
-    Construction also finds each non-root cell's mother position, the
-    sister-pair positions and the ObservedCounts, once; the methods below
+    Construction also finds each cell's mother position (the root's is
+    her own), the sister-pair positions and the ObservedCounts, once; the methods below
     return them, read-only, and are all that the estimators read.  A
     simulator's tree is built by ``_of_valid``, which skips the checks.
     """
@@ -117,7 +124,7 @@ class ObservationTree:
             raise MissingRoot()
         self._index(self.depth, labels)
         # a cell's mother is the observed label k >> 1, if there is one
-        bad = labels[1:][labels[self._mothers] != labels[1:] >> 1]
+        bad = labels[1:][labels[self._mothers[1:]] != labels[1:] >> 1]
         if bad.size:
             raise OrphanCell(int(bad[0]))
 
@@ -131,7 +138,7 @@ class ObservationTree:
     def _index(self, n: int, labels: np.ndarray) -> None:
         """Keep depth ``n`` and ``labels``, with their positions and counts, frozen."""
         first, kids = labels[:-1], labels[1:]
-        mothers = np.searchsorted(labels, kids >> 1)
+        mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
         gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
         # sister when both are observed
@@ -139,9 +146,11 @@ class ObservationTree:
         z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
         t01 = np.cumsum(np.bincount(gen[pairs] - 1, minlength=n + 1))
         g_star = z.sum(axis=1)
-        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)
+        t_star = np.cumsum(g_star)
+        last = np.concatenate((t_star[n - 1:n], t01[n - 1:n], t_star[n:], z[n], [n]))
+        counts = ObservedCounts(n, z, g_star, t_star, t01, last)
         # every caller shares these arrays
-        for arr in (labels, mothers, pairs, z, g_star, counts.t_star, t01):
+        for arr in (labels, mothers, pairs, z, g_star, t_star, t01, last):
             arr.flags.writeable = False
         object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
@@ -185,7 +194,7 @@ class ObservationTree:
     def mother_positions(self) -> np.ndarray:
         """Position in ``observed_indices()`` of the mother of each
         non-root observed cell, aligned with ``observed_indices()[1:]``."""
-        return self._mothers
+        return self._mothers[1:]
 
     def pair_positions(self) -> np.ndarray:
         """Position in ``observed_indices()`` of the even daughter of each
@@ -198,3 +207,63 @@ class ObservationTree:
     def reflect(self) -> "ObservationTree":
         """Swap every sibling pair recursively (mirror the tree)."""
         return ObservationTree(self.depth, np.sort(mirror(self.labels)))
+
+
+def at_row(a, r):
+    """Row ``r`` of a forest's result ``a``, or ``a`` itself for one tree (r None)."""
+    return a if r is None else a[r]
+
+
+class Forest(NamedTuple):
+    """R checked trees, with their traits if given, stacked row after row:
+    row r of an estimator's result over a forest is its r-th tree's.
+
+    Per cell: ``group`` is 2 * row + type for a daughter and 2R for a
+    root (a bin the estimators drop), ``mothers`` her mother's position
+    (a root's is her own).  Per observed sister pair: ``pairs`` is the
+    even daughter's position (her sister is the next) and ``pair_rows``
+    its row.  ``counts`` stacks each row's ``ObservedCounts.last``.  A
+    ``single`` forest stands for its one tree: the estimators give its
+    results without the row axis and raise its first StatError, where for
+    other forests they keep one StatError per row.
+    """
+
+    labels: np.ndarray
+    x: np.ndarray | None
+    group: np.ndarray
+    mothers: np.ndarray
+    pairs: np.ndarray
+    pair_rows: np.ndarray
+    counts: np.ndarray
+    single: bool = False
+
+    @classmethod
+    def of(cls, trees, values=None, single=False) -> "Forest":
+        """The forest of ObservationTrees ``trees`` and, if given, their
+        ValueTrees ``values``; one tree lends it her own arrays."""
+        x = None if values is None else [v.observed(t) for v, t in zip(values, trees)]
+        if len(trees) == 1:
+            t = trees[0]
+            group = t.labels & 1
+            group[0] = 2
+            return cls(t.labels, x and x[0], group, t._mothers, t._pairs,
+                       np.zeros(t._pairs.size, np.intp), t._counts.last[None], single)
+        sizes = np.array([t.labels.size for t in trees])
+        starts, rows = np.cumsum(sizes) - sizes, np.arange(len(trees))
+        labels = np.concatenate([t.labels for t in trees])
+        group = 2 * np.repeat(rows, sizes) + (labels & 1)
+        group[starts] = 2 * rows.size
+        return cls(labels, x and np.concatenate(x), group,
+                   np.concatenate([t._mothers + s for t, s in zip(trees, starts)]),
+                   np.concatenate([t._pairs + s for t, s in zip(trees, starts)]),
+                   np.repeat(rows, [t._pairs.size for t in trees]),
+                   np.array([t._counts.last for t in trees]), single)
+
+    @property
+    def index(self):
+        """What reads the rows off a stacked result: all of them, or one tree's."""
+        return 0 if self.single else slice(None)
+
+    def row_errors(self) -> list | None:
+        """A fresh first-StatError-per-row list, or None for one tree (which raises)."""
+        return None if self.single else [None] * len(self.counts)

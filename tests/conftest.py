@@ -7,7 +7,8 @@ They read a tree through its dense view: presence bits and traits over
 all 2^(depth+1) labels.
 
 The dense_* functions are the earlier array implementation, which kept
-every tree as such dense arrays; the label-based library must agree
+every tree as such dense arrays, with each sum taken left to right as
+the library's per-row sums are; the label-based library must agree
 with them bit for bit.  The lapack_* functions are the BAR fit and
 coefficient test as they were before the 2x2 closed forms: an SVD
 condition number and LAPACK inverses.
@@ -234,8 +235,13 @@ def _dense_daughters(labels, x):
     return [(x[k >> 1], x[k]) for k in (kids[~odd], kids[odd])]
 
 
+def _dense_sum(a):
+    """The left-to-right sum, the order of the library's per-row sums."""
+    return np.cumsum(a)[-1] if a.size else 0.0
+
+
 def _dense_moment(xm):
-    sx, sxx = xm.sum(), (xm * xm).sum()
+    sx, sxx = _dense_sum(xm), _dense_sum(xm * xm)
     return np.array([[xm.size, sx], [sx, sxx]], dtype=float)
 
 
@@ -243,7 +249,7 @@ def dense_sufficient_stats(depth, delta, x):
     """(s0, s1, s01, rhs, counts) gathered from traits of every label."""
     labels, pair_mothers, (_, _, t_star, t01) = dense_tree(depth, delta)
     (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
-    rhs = np.array([x0.sum(), (xm0 * x0).sum(), x1.sum(), (xm1 * x1).sum()])
+    rhs = np.array([_dense_sum(x0), _dense_sum(xm0 * x0), _dense_sum(x1), _dense_sum(xm1 * x1)])
     counts = (int(t_star[depth - 1]), int(t01[depth - 1]), int(t_star[depth]))
     both = _dense_moment(x[pair_mothers])
     return _dense_moment(xm0), _dense_moment(xm1), both, rhs, counts
@@ -256,11 +262,11 @@ def dense_noise(depth, delta, x, theta):
     labels, m, (_, _, t_star, t01) = dense_tree(depth, delta)
     (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
     e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
-    sigma2 = float((e0 * e0).sum() + (e1 * e1).sum()) / int(t_star[depth])
+    sigma2 = float(_dense_sum(e0 * e0) + _dense_sum(e1 * e1)) / int(t_star[depth])
     if t01[depth - 1] == 0:
         return sigma2, 0.0
     cross = (x[2 * m] - a - b * x[m]) * (x[2 * m + 1] - c - d * x[m])
-    return sigma2, float(cross.sum()) / int(t01[depth - 1])
+    return sigma2, float(_dense_sum(cross)) / int(t01[depth - 1])
 
 
 def dense_reflect(arr, depth):
