@@ -245,11 +245,6 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     return NoiseEstimate(sigma2_hat[i], rho_hat[i], (t01 == 0)[i])
 
 
-def _product(m, n) -> np.ndarray:
-    """m @ n for (..., 2, 2) stacks, one product per element."""
-    return (m[..., :, :, None] * n[..., None, :, :]).sum(axis=-2)
-
-
 def asymptotic_covariance(stats: SufficientStats, sigma2_hat, rho_hat):
     """Sandwich covariance of sqrt(|T*_{n-1}|) (theta_hat - theta).
 
@@ -257,14 +252,13 @@ def asymptotic_covariance(stats: SufficientStats, sigma2_hat, rho_hat):
     and Gamma_hat = |T*|^-1 [[s2 S0, rho S01], [rho S01, s2 S1]], whose
     blocks are t s2 S0^-1, t s2 S1^-1 and t rho S0^-1 S01 S1^-1.
     """
-    t = np.asarray(stats.counts[0])
-    inv = stats.design_inverse
+    t, inv = stats.counts[0], stats.design_inverse
     inv0, inv1 = inv[..., 0, :, :], inv[..., 1, :, :]
-    ts2, trho = (np.asarray(t * v)[..., None, None] for v in (sigma2_hat, rho_hat))
-    c = np.empty(t.shape + (4, 4))
+    ts2, trho = (np.multiply(t, v)[..., None, None] for v in (sigma2_hat, rho_hat))
+    c = np.empty(inv.shape[:-3] + (4, 4))
     c[..., :2, :2] = ts2 * inv0
     c[..., 2:, 2:] = ts2 * inv1
-    c[..., :2, 2:] = trho * _product(_product(inv0, stats.s01), inv1)
+    c[..., :2, 2:] = trho * (inv0 @ stats.s01 @ inv1)
     c[..., 2:, :2] = np.swapaxes(c[..., :2, 2:], -1, -2)
     return c
 
@@ -321,8 +315,8 @@ def coefficient_test(est: BarEstimate):
     fail_rows(errors, ~ok, lambda r: DegenerateVariance(
         f"covariance of (a - c, b - d): lmax {at_row(lmax, r):.3g}, det {at_row(det, r):.3g}"))
     diff = est.theta[..., :2] - est.theta[..., 2:]
-    quad = ((diff[..., :, None] * adj).sum(axis=-2) * diff).sum(axis=-1)
-    statistic = np.asarray(est.counts[0]) * quad / det
+    quad = (adj * (diff[..., :, None] * diff[..., None, :])).sum(axis=(-2, -1))
+    statistic = est.counts[0] * quad / det
     return outcomes(errors, lambda r: _report("coefficient", est, r, statistic, 2,
                                               {"diff": at_row(diff, r).tolist()}))
 
@@ -337,11 +331,11 @@ def fixed_point_test(est: BarEstimate):
                   lambda r, name=name, v=v: NearUnitRoot(name, at_row(v, r)))
     fp0, fp1 = a / (1.0 - b), c / (1.0 - d)
     grad = np.array([1.0 / (1.0 - b), a / (1.0 - b) ** 2, -1.0 / (1.0 - d), -c / (1.0 - d) ** 2]).T
-    delta_f = ((grad[..., :, None] * est.cov).sum(axis=-2) * grad).sum(axis=-1)
+    delta_f = (est.cov * (grad[..., :, None] * grad[..., None, :])).sum(axis=(-2, -1))
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_f) & (delta_f < np.inf)),  # nan fails too
               lambda r: DegenerateVariance(f"fixed-point variance {at_row(delta_f, r):.3g}"))
     diff = fp0 - fp1
-    statistic = np.asarray(est.counts[0]) * diff * diff / delta_f
+    statistic = est.counts[0] * diff * diff / delta_f
     return outcomes(errors, lambda r: _report("fixed_point", est, r, statistic, 1, {
         "fixed_point_even": float(at_row(fp0, r)), "fixed_point_odd": float(at_row(fp1, r)),
         "diff": float(at_row(diff, r)), "variance": float(at_row(delta_f, r))}))

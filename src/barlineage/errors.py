@@ -49,7 +49,7 @@ def fail_rows(errors, bad, error) -> None:
     None if it is one bool; for a forest keep it as errors[r], unless an
     earlier check failed row r."""
     if errors is None:
-        if bad.any():
+        if bad:  # one bool, or an array of one
             raise error(0 if np.ndim(bad) else None)
         return
     for r in np.flatnonzero(bad):

@@ -651,6 +651,19 @@ class TestBatch:
                                         "l_cancel.csv"]
         assert [r[0][:-4] for r in rows if r[2] == "nan"] == sorted(_DEGENERATE[which])
 
+    @pytest.mark.parametrize("which", sorted(_DEGENERATE))
+    def test_rows_equal_the_test_command(self, tmp_path, capsys, which):
+        d = mixed_directory(tmp_path)
+        assert main(["batch", str(d), "--which", which]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        for name, _, p in rows:
+            code = main(["test", str(d / name), "--which", which])
+            out = json.loads(capsys.readouterr().out)
+            if p == "nan":
+                assert code == 2 and "error" in out
+            else:
+                assert code == 0 and out["p_value"].hex() == float(p).hex()
+
     def test_directory_scan(self, tmp_path, capsys):
         simulate_fixture(tmp_path, "a.csv", depth=7, seed=1)
         simulate_fixture(tmp_path, "b.csv", depth=7, seed=2)
