@@ -9,7 +9,9 @@ plus noise, with separate coefficients for even and odd daughters:
 Sister noises share variance sigma2 and covariance rho.  Estimation is
 least squares over the observed mother-daughter pairs only; the two
 Wald tests compare (a, b) with (c, d) and the fixed points a/(1-b) with
-c/(1-d).
+c/(1-d).  Each estimator fits one (values, tree) pair, or every row of a
+Forest at once: its results then carry a leading row axis, and a row
+that fails a check keeps its StatError instead of raising.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import DegenerateVariance, NearUnitRoot, SingularDesign, fail_rows
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
 from .report import TestReport, outcomes
-from .tree import Forest, ObservationTree, as_labels, at_row, check_depth, mirror
+from .tree import ObservationTree, as_forest, as_labels, at_row, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
@@ -185,11 +187,6 @@ class SufficientStats:
         return adj / det[..., None, None]
 
 
-def _forest(values, tree) -> Forest:
-    """``values`` if it is a Forest (``tree`` None), else the one-tree forest."""
-    return values if tree is None else Forest.of([tree], [values], single=True)
-
-
 def _sums(ids, size, *weights) -> np.ndarray:
     """(len(weights), size): each weight's sum per bin of ``ids`` (a count
     for None), taken left to right, so that it does not depend on the
@@ -197,9 +194,9 @@ def _sums(ids, size, *weights) -> np.ndarray:
     return np.array([np.bincount(ids, w, size) for w in weights])
 
 
-def sufficient_stats(values, tree=None) -> SufficientStats:
-    """The sums of one tree, or of each row of the Forest ``values``."""
-    f = _forest(values, tree)
+def sufficient_stats(values, tree) -> SufficientStats:
+    """The sums of one tree, or of each row of a Forest ``tree`` (``values`` None)."""
+    f = as_forest(tree, values)
     rows, i, x = len(f.counts), f.index, f.x
     xm = x[f.mothers]
     both = xm[f.pairs]  # the mother of each sister pair
@@ -228,12 +225,12 @@ class NoiseEstimate:
 def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     """Residual variance and sister covariance from the fitted recursion,
     with one residual per observed daughter (type-0 squares summed first),
-    of one tree or of each row of the Forest ``values`` (``tree`` None).
+    of one tree or of each row of a Forest ``tree`` (``values`` None).
 
     With no observed sister pair the covariance is reported as 0 and
     flagged instead of raising, so callers can still emit a report.
     """
-    f = _forest(values, tree)
+    f = as_forest(tree, values)
     rows, i, t01 = len(f.counts), f.index, f.counts[:, 1]
     # each cell's (intercept, slope): (a, b) if even, (c, d) if odd; a root's is dropped
     coef = np.asarray(theta, dtype=float).reshape(-1, 2).take(f.group, axis=0, mode="clip")
@@ -278,13 +275,13 @@ class BarEstimate:
     errors: list | None = None
 
 
-def estimate_bar(values, tree=None) -> BarEstimate:
+def estimate_bar(values, tree) -> BarEstimate:
     """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled,
-    for one tree or for each row of the Forest ``values``."""
-    f = _forest(values, tree)
-    stats = sufficient_stats(f)
+    for one tree or for each row of a Forest ``tree`` (``values`` None)."""
+    f = as_forest(tree, values)
+    stats = sufficient_stats(None, f)
     theta = ls_estimate(stats)
-    noise = residual_noise_estimates(f, None, theta)
+    noise = residual_noise_estimates(None, f, theta)
     cov = asymptotic_covariance(stats, noise.sigma2_hat, noise.rho_hat)
     warns = [("no_sister_pairs",) if w else () for w in np.atleast_1d(noise.no_sister_pairs)]
     return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts,

@@ -44,10 +44,9 @@ class StatError(BarLineageError):
 
 
 def fail_rows(errors, bad, error) -> None:
-    """Give each row that ``bad`` marks the StatError ``error(r)``: for one
-    tree (``errors`` None) raise it, with r 0 if ``bad`` is an array and
-    None if it is one bool; for a forest keep it as errors[r], unless an
-    earlier check failed row r."""
+    """Give each row that ``bad`` marks the StatError ``error(r)``: raised for
+    one tree (``errors`` None; r is 0, or None if ``bad`` is one bool), else
+    kept as errors[r] unless an earlier check failed row r."""
     if errors is None:
         if bad:  # one bool, or an array of one
             raise error(0 if np.ndim(bad) else None)

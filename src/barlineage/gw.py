@@ -4,8 +4,9 @@ Each observed cell of type i (label parity) produces its pair of
 daughters according to a law p_i(j0, j1) over {0,1}^2: j0 is whether
 the even daughter 2k is observed, j1 whether the odd daughter 2k+1
 is.  This module simulates the presence process, estimates the eight
-reproduction probabilities from one tree, and runs the Wald test for
-equality of the two laws' mean offspring counts.
+reproduction probabilities from one tree, or from each row of a Forest,
+and runs the Wald test for equality of the two laws' mean offspring
+counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .numerics import VARIANCE_FLOOR, chi2_sf
 from .report import TestReport, outcomes
-from .tree import Forest, ObservationTree, at_row, check_depth
+from .tree import Forest, ObservationTree, as_forest, at_row, check_depth
 
 _SUM_TOL = 1e-12
 
@@ -129,8 +130,7 @@ class ReproductionEstimate:
     numbers of observed mothers-of-record per type (denominators);
     a zero count leaves that block at 0.  ``zhat`` are those counts over
     ``t_star``, the observed sub-tree size that also normalizes the test
-    statistic.  ``errors`` is None for one tree; for a forest it holds
-    each row's first StatError.
+    statistic.  ``errors``: each row's first StatError (None for one tree).
     """
 
     phat: np.ndarray
@@ -138,11 +138,6 @@ class ReproductionEstimate:
     zhat: tuple[float, float]
     t_star: int
     errors: list | None = None
-
-
-def _forest(tree) -> Forest:
-    """``tree`` if it is a Forest, else the forest that stands for it."""
-    return tree if isinstance(tree, Forest) else Forest.of([tree], single=True)
 
 
 def _reproduction(f: Forest):
@@ -169,9 +164,9 @@ def estimate_reproduction(tree) -> ReproductionEstimate:
     outcome code [2m observed] + 2 * [2m+1 observed] of mother m indexes
     the order (0,0), (1,0), (0,1), (1,1) within her type's block.
     """
-    f = _forest(tree)
+    f = as_forest(tree)
     errors = f.row_errors()
-    fail_rows(errors, f.counts[:, 5] < 2,
+    fail_rows(errors, f.counts[f.index, 5] < 2,
               lambda r: InsufficientData("estimating reproduction laws needs depth >= 2"))
     phat, counts, zhat = _reproduction(f)
     if f.single:
@@ -195,39 +190,29 @@ def reproduction_covariance(est: ReproductionEstimate) -> np.ndarray:
 def gw_mean_test(tree):
     """Wald test for equality of the two reproduction laws' means; for a
     Forest, each row's TestReport or StatError."""
-    f = _forest(tree)
-    errors = f.row_errors()
-    fail_rows(errors, f.counts[:, 5] < 3,
+    f = as_forest(tree)
+    errors, i = f.row_errors(), f.index
+    fail_rows(errors, f.counts[i, 5] < 3,
               lambda r: InsufficientData("the mean test needs depth >= 3"))
-    phat, counts, zhat = _reproduction(f)  # with depth >= 3, n >= 2 holds
-    fail_rows(errors, counts.min(axis=-1) == 0, lambda r: InsufficientData(
-        f"mothers of record per type: {tuple(counts[r].tolist())}"))
+    phat, counts, zhat = (a[i] for a in _reproduction(f))  # with depth >= 3, n >= 2 holds
+    c0, c1 = counts.T
+    fail_rows(errors, (c0 == 0) | (c1 == 0), lambda r: InsufficientData(
+        f"mothers of record per type: {tuple(at_row(counts, r).tolist())}"))
     # g'Vg for V = reproduction_covariance: per type, (sum g^2 p - (sum g p)^2) / z
-    gp = (phat * MEAN_DIFF_GRADIENT).reshape(-1, 2, 4)
+    gp = (phat * MEAN_DIFF_GRADIENT).reshape(*counts.shape, 4)
     m = gp.sum(axis=-1)
-    var = ((gp * MEAN_DIFF_GRADIENT.reshape(2, 4)).sum(axis=-1) - m * m) / zhat
-    m_hat, delta_gw = m[:, 0] + m[:, 1], var[:, 0] + var[:, 1]
+    (m0, m1), (v0, v1) = m.T, (((gp * MEAN_DIFF_GRADIENT.reshape(2, 4)).sum(axis=-1)
+                                - m * m) / zhat).T
+    m_hat, delta_gw, t_star = m0 + m1, v0 + v1, f.counts[i, 0]
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_gw) & (delta_gw < np.inf)),  # nan fails too
-              lambda r: DegenerateVariance(f"mean-difference variance {delta_gw[r]:.3g}"))
-    t_star = f.counts[:, 0]
+              lambda r: DegenerateVariance(f"mean-difference variance {at_row(delta_gw, r):.3g}"))
     statistic = t_star * m_hat * m_hat / delta_gw
 
     def report(r):
-        r = r or 0  # one tree is row 0
-        stat = float(statistic[r])
-        return TestReport(
-            test="gw_mean",
-            statistic=stat,
-            df=1,
-            p_value=chi2_sf(stat, 1),
-            n_tstar=int(t_star[r]),
-            estimates={
-                "m_hat": float(m_hat[r]),
-                "variance": float(delta_gw[r]),
-                "phat": phat[r].tolist(),
-                "zhat": zhat[r].tolist(),
-                "mother_counts": counts[r].tolist(),
-            },
-        )
+        stat = float(at_row(statistic, r))
+        return TestReport("gw_mean", stat, 1, chi2_sf(stat, 1), int(at_row(t_star, r)), {
+            "m_hat": float(at_row(m_hat, r)), "variance": float(at_row(delta_gw, r)),
+            "phat": at_row(phat, r).tolist(), "zhat": at_row(zhat, r).tolist(),
+            "mother_counts": at_row(counts, r).tolist()})
 
     return outcomes(errors, report)

@@ -23,7 +23,7 @@ import numpy as np
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
 from .numerics import shared_stream
-from .tree import MAX_DEPTH, Forest
+from .tree import MAX_DEPTH, as_forest
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -118,12 +118,11 @@ def run_test(which_test: str, tree, values=None):
     there.  Given a Forest as ``tree``, run it on every row at once: a list
     of each row's TestReport or StatError."""
     check_field("which_test", which_test)
-    if not isinstance(tree, Forest):
-        tree = Forest.of([tree], None if values is None else [values], single=True)
+    f = as_forest(tree, values)
     with np.errstate(all="ignore"):  # a non-finite row ends in its StatError
         if which_test == "gw_mean":
-            return gw.gw_mean_test(tree)
-        est = bar.estimate_bar(tree)
+            return gw.gw_mean_test(f)
+        est = bar.estimate_bar(None, f)
         if which_test == "coefficient":
             return bar.coefficient_test(est)
         return bar.fixed_point_test(est)

@@ -106,14 +106,16 @@ class ObservationTree:
     strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
     1 is observed, and no observed cell has an unobserved mother.
     Construction also finds each cell's mother position (the root's is
-    her own), the sister-pair positions and the ObservedCounts, once; the methods below
-    return them, read-only, and are all that the estimators read.  A
-    simulator's tree is built by ``_of_valid``, which skips the checks.
+    her own), the sister-pair positions and the ObservedCounts, once; the
+    methods below return them, read-only, and ``Forest.of`` stacks them for
+    the estimators.  A simulator's tree is built by ``_of_valid``, which
+    skips the checks.
     """
 
     depth: int
     labels: np.ndarray = field(repr=False)
     _mothers: np.ndarray = field(init=False, repr=False)
+    _group: np.ndarray = field(init=False, repr=False)
     _pairs: np.ndarray = field(init=False, repr=False)
     _counts: ObservedCounts = field(init=False, repr=False)
 
@@ -140,21 +142,24 @@ class ObservationTree:
         first, kids = labels[:-1], labels[1:]
         mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
         gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
+        group = labels & 1  # each cell's type, then the root's mark for a Forest
         # in sorted order an even daughter is directly followed by her
         # sister when both are observed
-        pairs = np.flatnonzero(((first & 1) == 0) & (kids == first + 1))
-        z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
+        pairs = np.flatnonzero((group[:-1] == 0) & (kids == first + 1))
+        z = np.bincount(2 * gen + group, minlength=2 * (n + 1)).reshape(n + 1, 2)
+        group[0] = 2
         t01 = np.cumsum(np.bincount(gen[pairs] - 1, minlength=n + 1))
         g_star = z.sum(axis=1)
-        t_star = np.cumsum(g_star)
-        last = np.concatenate((t_star[n - 1:n], t01[n - 1:n], t_star[n:], z[n], [n]))
-        counts = ObservedCounts(n, z, g_star, t_star, t01, last)
+        zn = z[n].tolist()
+        last = np.array([labels.size - sum(zn), pairs.size, labels.size, *zn, n])
+        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01, last)
         # every caller shares these arrays
-        for arr in (labels, mothers, pairs, z, g_star, t_star, t01, last):
+        for arr in (labels, mothers, group, pairs, z, g_star, counts.t_star, t01, last):
             arr.flags.writeable = False
         object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_mothers", mothers)
+        object.__setattr__(self, "_group", group)
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_counts", counts)
 
@@ -244,14 +249,12 @@ class Forest(NamedTuple):
         x = None if values is None else [v.observed(t) for v, t in zip(values, trees)]
         if len(trees) == 1:
             t = trees[0]
-            group = t.labels & 1
-            group[0] = 2
-            return cls(t.labels, x and x[0], group, t._mothers, t._pairs,
+            return cls(t.labels, x and x[0], t._group, t._mothers, t._pairs,
                        np.zeros(t._pairs.size, np.intp), t._counts.last[None], single)
         sizes = np.array([t.labels.size for t in trees])
         starts, rows = np.cumsum(sizes) - sizes, np.arange(len(trees))
         labels = np.concatenate([t.labels for t in trees])
-        group = 2 * np.repeat(rows, sizes) + (labels & 1)
+        group = 2 * np.repeat(rows, sizes) + np.concatenate([t._group for t in trees])
         group[starts] = 2 * rows.size
         return cls(labels, x and np.concatenate(x), group,
                    np.concatenate([t._mothers + s for t, s in zip(trees, starts)]),
@@ -267,3 +270,10 @@ class Forest(NamedTuple):
     def row_errors(self) -> list | None:
         """A fresh first-StatError-per-row list, or None for one tree (which raises)."""
         return None if self.single else [None] * len(self.counts)
+
+
+def as_forest(tree, values=None) -> Forest:
+    """``tree`` if it is a Forest, else the forest that stands for it alone."""
+    if isinstance(tree, Forest):
+        return tree
+    return Forest.of([tree], None if values is None else [values], single=True)
