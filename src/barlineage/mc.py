@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,7 +120,8 @@ def run_test(which_test: str, tree, values=None):
     of each row's TestReport or StatError."""
     check_field("which_test", which_test)
     f = as_forest(tree, values)
-    with np.errstate(all="ignore"):  # a non-finite row ends in its StatError
+    # a non-finite row ends in its StatError; one tree raises at its first
+    with nullcontext() if f.single else np.errstate(all="ignore"):
         if which_test == "gw_mean":
             return gw.gw_mean_test(f)
         est = bar.estimate_bar(None, f)

@@ -139,16 +139,15 @@ class ObservationTree:
 
     def _index(self, n: int, labels: np.ndarray) -> None:
         """Keep depth ``n`` and ``labels``, with their positions and counts, frozen."""
-        first, kids = labels[:-1], labels[1:]
         mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
-        gen = np.frexp(labels)[1] - 1  # floor(log2 k), exact for k < 2**53
-        group = labels & 1  # each cell's type, then the root's mark for a Forest
+        gen1 = np.frexp(labels)[1]  # floor(log2 k) + 1, exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
-        # sister when both are observed
-        pairs = np.flatnonzero((group[:-1] == 0) & (kids == first + 1))
-        z = np.bincount(2 * gen + group, minlength=2 * (n + 1)).reshape(n + 1, 2)
+        # sister when both are observed (k | 1 is k + 1 for an even k only)
+        pairs = np.flatnonzero(labels[1:] == (labels[:-1] | 1))
+        group = labels & 1  # each cell's type, then the root's mark for a Forest
+        z = np.bincount(2 * gen1 + group, minlength=2 * (n + 2))[2:].reshape(n + 1, 2)
         group[0] = 2
-        t01 = np.cumsum(np.bincount(gen[pairs] - 1, minlength=n + 1))
+        t01 = np.cumsum(np.bincount(gen1[pairs], minlength=n + 3)[2:])  # by mothers' generation
         g_star = z.sum(axis=1)
         zn = z[n].tolist()
         last = np.array([labels.size - sum(zn), pairs.size, labels.size, *zn, n])
@@ -230,7 +229,8 @@ class Forest(NamedTuple):
     its row.  ``counts`` stacks each row's ``ObservedCounts.last``.  A
     ``single`` forest stands for its one tree: the estimators give its
     results without the row axis and raise its first StatError, where for
-    other forests they keep one StatError per row.
+    other forests they keep one StatError per row (``mc.run_test`` runs
+    these under ``np.errstate``, so that a failing row warns of nothing).
     """
 
     labels: np.ndarray
