@@ -5,13 +5,13 @@ Cells are labelled 1, 2, 3, ... with the two daughters of cell k at 2k
 k // 2.  Generation g is the label range [2**g, 2**(g+1)).
 
 An ObservationTree is the ascending array of its observed labels.  At
-construction it finds, once, where each observed cell's mother sits in
-that array, where its observed sister pairs sit, and its
-ObservedCounts.  The estimators read a tree through those three and
-the labels alone (a daughter's type is her label's parity), so nothing
-here grows with 2**depth.
+construction it builds, once, its ObservedCounts and its one-row
+Forest: where each observed cell's mother sits in the label array,
+where its observed sister pairs sit, and the counts a fit needs.  The
+estimators read a tree only through that row (a daughter's type is her
+label's parity), so nothing here grows with 2**depth.
 
-A Forest stacks R such trees, row after row, for the estimators: each
+A Forest stacks R such rows, row after row, for the estimators: each
 per-row sum is a weighted ``bincount`` over the row ids, so that a row's
 results do not depend on the rows beside it.
 """
@@ -82,8 +82,7 @@ class ObservedCounts:
     the root by convention: (0, 1)).  ``t01`` counts mothers in the
     sub-tree up to that generation with BOTH daughters observed, so its
     entry at depth equals the one at depth-1 (daughters of the deepest
-    generation are never observed).  ``last`` is what the estimators
-    read: t_star[depth-1], t01[depth-1], t_star[depth], z[depth] and depth.
+    generation are never observed).
     """
 
     depth: int
@@ -91,7 +90,6 @@ class ObservedCounts:
     g_star: np.ndarray   # (depth+1,) observed cells per generation
     t_star: np.ndarray   # (depth+1,) cumulative observed cells
     t01: np.ndarray      # (depth+1,) cumulative both-daughters-observed mothers
-    last: np.ndarray     # (6,) ints
 
     @property
     def extinct(self) -> bool:
@@ -105,18 +103,15 @@ class ObservationTree:
     Invariants (checked at construction): the labels are integers,
     strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
     1 is observed, and no observed cell has an unobserved mother.
-    Construction also finds each cell's mother position (the root's is
-    her own), the sister-pair positions and the ObservedCounts, once; the
-    methods below return them, read-only, and ``Forest.of`` stacks them for
-    the estimators.  A simulator's tree is built by ``_of_valid``, which
-    skips the checks.
+    Construction also builds, once and read-only, the ObservedCounts that
+    ``counts()`` returns and the one-row Forest that ``as_forest`` returns
+    and ``Forest.of`` stacks: the tree's only index.  A simulator's tree
+    is built by ``_of_valid``, which skips the checks.
     """
 
     depth: int
     labels: np.ndarray = field(repr=False)
-    _mothers: np.ndarray = field(init=False, repr=False)
-    _group: np.ndarray = field(init=False, repr=False)
-    _pairs: np.ndarray = field(init=False, repr=False)
+    _row: Forest = field(init=False, repr=False)
     _counts: ObservedCounts = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -126,7 +121,7 @@ class ObservationTree:
             raise MissingRoot()
         self._index(self.depth, labels)
         # a cell's mother is the observed label k >> 1, if there is one
-        bad = labels[1:][labels[self._mothers[1:]] != labels[1:] >> 1]
+        bad = labels[1:][labels[self._row.mothers[1:]] != labels[1:] >> 1]
         if bad.size:
             raise OrphanCell(int(bad[0]))
 
@@ -138,7 +133,7 @@ class ObservationTree:
         return tree
 
     def _index(self, n: int, labels: np.ndarray) -> None:
-        """Keep depth ``n`` and ``labels``, with their positions and counts, frozen."""
+        """Keep depth ``n`` and ``labels``, with their counts and row, frozen."""
         mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
         gen1 = np.frexp(labels)[1]  # floor(log2 k) + 1, exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
@@ -150,16 +145,16 @@ class ObservationTree:
         t01 = np.cumsum(np.bincount(gen1[pairs], minlength=n + 3)[2:])  # by mothers' generation
         g_star = z.sum(axis=1)
         zn = z[n].tolist()
-        last = np.array([labels.size - sum(zn), pairs.size, labels.size, *zn, n])
-        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01, last)
+        fit = np.array([[labels.size - sum(zn), pairs.size, labels.size, *zn, n]])
+        pair_rows = np.zeros(pairs.size, np.intp)
+        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)
         # every caller shares these arrays
-        for arr in (labels, mothers, group, pairs, z, g_star, counts.t_star, t01, last):
+        for arr in (labels, group, mothers, pairs, pair_rows, fit, z, g_star, counts.t_star, t01):
             arr.flags.writeable = False
         object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_mothers", mothers)
-        object.__setattr__(self, "_group", group)
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_row", Forest(labels, None, group, mothers, pairs,
+                                                pair_rows, fit, single=True))
         object.__setattr__(self, "_counts", counts)
 
     def __eq__(self, other):
@@ -195,16 +190,6 @@ class ObservationTree:
         """Labels of the observed cells, ascending (the root first)."""
         return self.labels
 
-    def mother_positions(self) -> np.ndarray:
-        """Position in ``observed_indices()`` of the mother of each
-        non-root observed cell, aligned with ``observed_indices()[1:]``."""
-        return self._mothers[1:]
-
-    def pair_positions(self) -> np.ndarray:
-        """Position in ``observed_indices()`` of the even daughter of each
-        observed sister pair, ascending; her sister sits one further on."""
-        return self._pairs
-
     def counts(self) -> ObservedCounts:
         return self._counts
 
@@ -226,11 +211,13 @@ class Forest(NamedTuple):
     root (a bin the estimators drop), ``mothers`` her mother's position
     (a root's is her own).  Per observed sister pair: ``pairs`` is the
     even daughter's position (her sister is the next) and ``pair_rows``
-    its row.  ``counts`` stacks each row's ``ObservedCounts.last``.  A
-    ``single`` forest stands for its one tree: the estimators give its
-    results without the row axis and raise its first StatError, where for
-    other forests they keep one StatError per row (``mc.run_test`` runs
-    these under ``np.errstate``, so that a failing row warns of nothing).
+    its row.  ``counts`` holds, per row of depth n, |T*_{n-1}|,
+    |T*01_{n-1}|, |T*_n|, z[n] (two) and n.  The one-row forest that an
+    ObservationTree keeps is ``single``: it stands for that tree, and the
+    estimators give its results without the row axis and raise its first
+    StatError, where for other forests they keep one StatError per row
+    (``mc.run_test`` runs these under ``np.errstate``, so that a failing
+    row warns of nothing).
     """
 
     labels: np.ndarray
@@ -243,24 +230,20 @@ class Forest(NamedTuple):
     single: bool = False
 
     @classmethod
-    def of(cls, trees, values=None, single=False) -> "Forest":
+    def of(cls, trees, values=None) -> "Forest":
         """The forest of ObservationTrees ``trees`` and, if given, their
-        ValueTrees ``values``; one tree lends it her own arrays."""
+        ValueTrees ``values``: each tree's row, stacked."""
+        rows = [t._row for t in trees]
+        sizes = np.array([r.labels.size for r in rows])
+        starts, ids = np.cumsum(sizes) - sizes, np.arange(len(rows))
+        group = 2 * np.repeat(ids, sizes) + np.concatenate([r.group for r in rows])
+        group[starts] = 2 * ids.size
         x = None if values is None else [v.observed(t) for v, t in zip(values, trees)]
-        if len(trees) == 1:
-            t = trees[0]
-            return cls(t.labels, x and x[0], t._group, t._mothers, t._pairs,
-                       np.zeros(t._pairs.size, np.intp), t._counts.last[None], single)
-        sizes = np.array([t.labels.size for t in trees])
-        starts, rows = np.cumsum(sizes) - sizes, np.arange(len(trees))
-        labels = np.concatenate([t.labels for t in trees])
-        group = 2 * np.repeat(rows, sizes) + np.concatenate([t._group for t in trees])
-        group[starts] = 2 * rows.size
-        return cls(labels, x and np.concatenate(x), group,
-                   np.concatenate([t._mothers + s for t, s in zip(trees, starts)]),
-                   np.concatenate([t._pairs + s for t, s in zip(trees, starts)]),
-                   np.repeat(rows, [t._pairs.size for t in trees]),
-                   np.array([t._counts.last for t in trees]), single)
+        return cls(np.concatenate([r.labels for r in rows]), x and np.concatenate(x), group,
+                   np.concatenate([r.mothers + s for r, s in zip(rows, starts)]),
+                   np.concatenate([r.pairs + s for r, s in zip(rows, starts)]),
+                   np.repeat(ids, [r.pairs.size for r in rows]),
+                   np.concatenate([r.counts for r in rows]))
 
     @property
     def index(self):
@@ -273,7 +256,8 @@ class Forest(NamedTuple):
 
 
 def as_forest(tree, values=None) -> Forest:
-    """``tree`` if it is a Forest, else the forest that stands for it alone."""
+    """``tree`` if it is a Forest, else the tree's own row, with the traits
+    of ``values`` if given."""
     if isinstance(tree, Forest):
         return tree
-    return Forest.of([tree], None if values is None else [values], single=True)
+    return tree._row if values is None else tree._row._replace(x=values.observed(tree))

@@ -1,16 +1,20 @@
 """The public API is what the README documents.
 
-Five contracts, checked on the source text, and one on a fresh import:
+Six contracts, checked on the source text, and one on a fresh import:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
 - no module of the package imports a name it never uses;
 - no module defines a module-level ``_private`` name it never reads;
+- every method or property of the package's classes is read, as
+  ``.name``, by the package, the README, the demos, the benchmark
+  scripts or the acceptance tests, unless it overrides a base's;
 - the README lists exactly the keys ``mc --config`` reads;
 - importing the package and its CLI leaves ``numpy.random`` unloaded.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -105,6 +109,53 @@ def test_dead_private_name_is_found():
               "class _Kept:\n    pass\n"
               "def public(x=_Kept):\n    _local = 4\n    return _helper()\n")
     assert dead_private_names(source) == {"_SPARE", "_LIMIT"}
+
+
+def class_methods(source: str) -> set[str]:
+    """The non-dunder methods and properties of the classes in ``source``."""
+    return {
+        node.name
+        for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def unread_methods(modules: list[str], readers: list[str], docs: str) -> set[str]:
+    """Methods of ``modules`` that no Python source of ``readers`` reads as an
+    attribute and that ``docs`` never writes as ``.name``."""
+    read = {n.attr for s in readers for n in ast.walk(ast.parse(s)) if isinstance(n, ast.Attribute)}
+    return set().union(*map(class_methods, modules)) - read - set(re.findall(r"\.(\w+)", docs))
+
+
+def overridden_names() -> set[str]:
+    """Names that a class of the package defines over one of its bases'
+    (``cli._Parser.error``): the base's own code calls them."""
+    modules = [importlib.import_module(f"barlineage.{p.stem}") for p in MODULES]
+    classes = [c for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__]
+    return {n for c in classes for n in vars(c) if any(n in vars(b) for b in c.__mro__[1:])}
+
+
+def test_every_method_is_read():
+    package = sorted((ROOT / "src" / "barlineage").glob("*.py"))
+    readers = [*package, *sorted((ROOT / "demos").glob("*.py")),
+               *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+    def texts(paths):
+        return [p.read_text(encoding="utf-8") for p in paths]
+
+    assert unread_methods(texts(package), texts(readers), README) - overridden_names() == set()
+
+
+def test_unread_method_is_found():
+    module = ("class Tree:\n    def used(self):\n        return self._helper()\n"
+              "    def _helper(self):\n        return 1\n"
+              "    @property\n    def spare(self):\n        return 2\n"
+              "    def documented(self):\n        return 3\n"
+              "    def __eq__(self, other):\n        return True\n")
+    reader = "tree = Tree()\nprint(tree.used(), spare)\n"
+    assert unread_methods([module], [module, reader], "Call `tree.documented()`.") == {"spare"}
 
 
 def test_readme_lists_the_config_keys():

@@ -30,7 +30,7 @@ from barlineage import (
 from barlineage import cli
 from barlineage.errors import StatError
 from barlineage.mc import P0_LAW, TESTS, run_test
-from barlineage.tree import Forest
+from barlineage.tree import Forest, as_forest
 
 from conftest import overflowing_leaves
 from test_cli import CANCELLING, HUGE
@@ -89,6 +89,37 @@ def alone(which, tree, values):
 
 def as_outcome(row):
     return (type(row), str(row)) if isinstance(row, StatError) else row.p_value.hex()
+
+
+def _simulated(_):
+    return simulated(9, 5)
+
+
+def _from_indices(_):
+    tree = ObservationTree.from_indices(4, [7, 1, 3, 2, 6, 15, 4, 14, 1])
+    return tree, ValueTree(4, np.arange(32.0))
+
+
+def _ingested(directory):
+    path = directory / "lineage.csv"
+    path.write_text(emit_lineage(*simulated(7, 11)), encoding="utf-8")
+    return ingest(path)
+
+
+@pytest.mark.parametrize("build", [_simulated, _from_indices, _ingested],
+                         ids=["simulated", "from_indices", "ingested"])
+def test_a_tree_fits_as_its_stored_row(build, tmp_path):
+    tree, values = build(tmp_path)
+    row, fitted, stacked = as_forest(tree), as_forest(tree, values), Forest.of([tree], [values])
+    assert as_forest(tree) is row and row.x is None
+    assert row.labels is tree.observed_indices()
+    for name in Forest._fields[:-1]:
+        a, b = getattr(fitted, name), getattr(stacked, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        if name != "x":
+            assert a is getattr(row, name), name
+            assert not a.flags.writeable, name
+    assert (row.single, fitted.single, stacked.single) == (True, True, False)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,7 +26,7 @@ from barlineage.errors import (
     NotPositive,
 )
 from barlineage.gw import MEAN_DIFF_GRADIENT, ReproductionEstimate
-from barlineage.tree import ObservedCounts
+from barlineage.tree import ObservedCounts, as_forest
 
 from conftest import brute_reproduction, brute_simulate_observation_tree, observation_trees
 
@@ -166,8 +166,8 @@ class TestSimulateObservationTree:
         # the same labels, must find the same positions and counts
         ours = simulate_observation_tree(GwModel(law0, law1), depth, replica_stream(key))
         checked = ObservationTree(depth, ours.observed_indices())
-        for read in (ObservationTree.observed_indices, ObservationTree.mother_positions,
-                     ObservationTree.pair_positions):
+        for read in (ObservationTree.observed_indices, lambda t: as_forest(t).mothers[1:],
+                     lambda t: as_forest(t).pairs):
             a, b = read(ours), read(checked)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert not a.flags.writeable

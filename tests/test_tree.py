@@ -17,7 +17,7 @@ from barlineage.errors import (
     MissingRoot,
     OrphanCell,
 )
-from barlineage.tree import generation
+from barlineage.tree import as_forest, generation
 
 from conftest import (
     brute_counts,
@@ -173,9 +173,9 @@ class TestObservedCounts:
         labels = [k for k in range(1, 2 ** (n + 1)) if delta[k]]
         pairs = [k for k in range(1, 2 ** n) if delta[2 * k] and delta[2 * k + 1]]
         assert tree.observed_indices().tolist() == labels
-        kids = tree.observed_indices()[1:]
-        assert (tree.observed_indices()[tree.mother_positions()] == kids >> 1).all()
-        assert (tree.observed_indices()[tree.pair_positions()] >> 1).tolist() == pairs
+        kids, row = tree.observed_indices()[1:], as_forest(tree)
+        assert (tree.observed_indices()[row.mothers[1:]] == kids >> 1).all()
+        assert (tree.observed_indices()[row.pairs] >> 1).tolist() == pairs
 
     @given(observation_trees())
     def test_extinction_is_monotone(self, tree):
@@ -225,7 +225,7 @@ class TestDenseOracle:
         tree = tree_of(depth, delta)
         labels, pair_mothers, counts = dense_tree(depth, delta)
         assert tree.observed_indices().tobytes() == labels.tobytes()
-        assert (labels[tree.pair_positions()] >> 1).tobytes() == pair_mothers.tobytes()
+        assert (labels[as_forest(tree).pairs] >> 1).tobytes() == pair_mothers.tobytes()
         c = tree.counts()
         for got, want in zip((c.z, c.g_star, c.t_star, c.t01), counts):
             assert got.tobytes() == want.tobytes()
