@@ -197,7 +197,7 @@ def _sums(ids, size, *weights) -> np.ndarray:
 def sufficient_stats(values, tree) -> SufficientStats:
     """The sums of one tree, or of each row of a Forest ``tree`` (``values`` None)."""
     f = as_forest(tree, values)
-    rows, i, x = len(f.counts), f.index, f.x
+    rows, i, x = len(f.counts), f.row_index, f.x
     xm = x[f.mothers]
     both = xm[f.pairs]  # the mother of each sister pair
     # bins 2r and 2r + 1 hold row r's even and odd daughters, bin 2R the roots
@@ -231,7 +231,7 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     flagged instead of raising, so callers can still emit a report.
     """
     f = as_forest(tree, values)
-    rows, i, t01 = len(f.counts), f.index, f.counts[:, 1]
+    rows, i, t01 = len(f.counts), f.row_index, f.counts[:, 1]
     # each cell's (intercept, slope): (a, b) if even, (c, d) if odd; a root's is dropped
     coef = np.asarray(theta, dtype=float).reshape(-1, 2).take(f.group, axis=0, mode="clip")
     e = f.x - coef[:, 0] - coef[:, 1] * f.x[f.mothers]

@@ -4,9 +4,9 @@ Each observed cell of type i (label parity) produces its pair of
 daughters according to a law p_i(j0, j1) over {0,1}^2: j0 is whether
 the even daughter 2k is observed, j1 whether the odd daughter 2k+1
 is.  This module simulates the presence process, estimates the eight
-reproduction probabilities from one tree, or from each row of a Forest,
-and runs the Wald test for equality of the two laws' mean offspring
-counts.
+reproduction probabilities from one tree, and runs the Wald test for
+equality of the two laws' mean offspring counts, on one tree or on each
+row of a Forest.
 """
 
 from __future__ import annotations
@@ -122,22 +122,20 @@ def simulate_observation_tree(
 
 @dataclass(frozen=True, eq=False)
 class ReproductionEstimate:
-    """Empirical reproduction probabilities from one observation tree, or
-    with a leading row axis from each row of a Forest.
+    """Empirical reproduction probabilities from one observation tree.
 
     ``phat`` stacks the type-0 block then the type-1 block, each in the
     order (0,0), (1,0), (0,1), (1,1).  ``mother_counts`` are the
     numbers of observed mothers-of-record per type (denominators);
     a zero count leaves that block at 0.  ``zhat`` are those counts over
     ``t_star``, the observed sub-tree size that also normalizes the test
-    statistic.  ``errors``: each row's first StatError (None for one tree).
+    statistic.
     """
 
     phat: np.ndarray
     mother_counts: tuple[int, int]
     zhat: tuple[float, float]
     t_star: int
-    errors: list | None = None
 
 
 def _reproduction(f: Forest):
@@ -155,35 +153,31 @@ def _reproduction(f: Forest):
     return phat, counts, counts / f.counts[:, :1]  # over the cells of generations 0 .. n-1
 
 
-def estimate_reproduction(tree) -> ReproductionEstimate:
-    """Empirical reproduction probabilities using all data in the tree,
-    or in each row of a Forest.
+def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
+    """Empirical reproduction probabilities using all data in the tree.
 
     Mothers-of-record are the observed cells of generations 1 .. n-1;
     their daughter pair lands in the deepest generation at most.  The
     outcome code [2m observed] + 2 * [2m+1 observed] of mother m indexes
     the order (0,0), (1,0), (0,1), (1,1) within her type's block.
     """
+    if tree.depth < 2:
+        raise InsufficientData("estimating reproduction laws needs depth >= 2")
     f = as_forest(tree)
-    errors = f.row_errors()
-    fail_rows(errors, f.counts[f.index, 5] < 2,
-              lambda r: InsufficientData("estimating reproduction laws needs depth >= 2"))
-    phat, counts, zhat = _reproduction(f)
-    if f.single:
-        return ReproductionEstimate(phat[0], tuple(counts[0].tolist()), tuple(zhat[0].tolist()),
-                                    int(f.counts[0, 0]))
-    return ReproductionEstimate(phat, counts, zhat, f.counts[:, 0], errors)
+    phat, counts, zhat = (a[0] for a in _reproduction(f))
+    return ReproductionEstimate(phat, tuple(counts.tolist()), tuple(zhat.tolist()),
+                                int(f.counts[0, 0]))
 
 
 def reproduction_covariance(est: ReproductionEstimate) -> np.ndarray:
     """Block-diagonal multinomial sandwich: blockdiag(V0/z0, V1/z1)."""
     z = np.asarray(est.zhat, dtype=float)
-    fail_rows(est.errors, (z <= 0).any(axis=-1),
-              lambda r: DegenerateTypeProportion(int(np.argmax(at_row(z, r) <= 0))))
-    p = est.phat.reshape(*z.shape, 4)
-    blocks = (p[..., :, None] * np.eye(4) - p[..., :, None] * p[..., None, :]) / z[..., None, None]
-    v = np.zeros(z.shape[:-1] + (8, 8))
-    v[..., :4, :4], v[..., 4:, 4:] = blocks[..., 0, :, :], blocks[..., 1, :, :]
+    if (z <= 0).any():
+        raise DegenerateTypeProportion(int(np.argmax(z <= 0)))
+    p = est.phat.reshape(2, 4)
+    blocks = (p[:, :, None] * np.eye(4) - p[:, :, None] * p[:, None, :]) / z[:, None, None]
+    v = np.zeros((8, 8))
+    v[:4, :4], v[4:, 4:] = blocks
     return v
 
 
@@ -191,7 +185,7 @@ def gw_mean_test(tree):
     """Wald test for equality of the two reproduction laws' means; for a
     Forest, each row's TestReport or StatError."""
     f = as_forest(tree)
-    errors, i = f.row_errors(), f.index
+    errors, i = f.row_errors(), f.row_index
     fail_rows(errors, f.counts[i, 5] < 3,
               lambda r: InsufficientData("the mean test needs depth >= 3"))
     phat, counts, zhat = (a[i] for a in _reproduction(f))  # with depth >= 3, n >= 2 holds

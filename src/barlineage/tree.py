@@ -5,11 +5,12 @@ Cells are labelled 1, 2, 3, ... with the two daughters of cell k at 2k
 k // 2.  Generation g is the label range [2**g, 2**(g+1)).
 
 An ObservationTree is the ascending array of its observed labels.  At
-construction it builds, once, its ObservedCounts and its one-row
-Forest: where each observed cell's mother sits in the label array,
-where its observed sister pairs sit, and the counts a fit needs.  The
-estimators read a tree only through that row (a daughter's type is her
-label's parity), so nothing here grows with 2**depth.
+construction it builds, once, its one-row Forest: where each observed
+cell's mother sits in the label array, where its observed sister pairs
+sit, and the counts a fit needs.  The estimators read a tree only
+through that row (a daughter's type is her label's parity), so nothing
+here grows with 2**depth.  ``counts()`` reads the per-generation cell
+counts off the labels on each call.
 
 A Forest stacks R such rows, row after row, for the estimators: each
 per-row sum is a weighted ``bincount`` over the row ids, so that a row's
@@ -73,23 +74,9 @@ def as_labels(labels, depth: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservedCounts:
-    """Per-generation and cumulative observed-cell counts.
+    """``g_star[g]``, the observed cells of generation g = 0 .. depth."""
 
-    An ObservationTree builds these once, at construction, from its
-    observed labels; ``tree.counts()`` returns that one object.  All
-    arrays are indexed by generation 0..depth.  ``z`` rows are the
-    observed daughters of each type born into that generation (row 0 is
-    the root by convention: (0, 1)).  ``t01`` counts mothers in the
-    sub-tree up to that generation with BOTH daughters observed, so its
-    entry at depth equals the one at depth-1 (daughters of the deepest
-    generation are never observed).
-    """
-
-    depth: int
-    z: np.ndarray        # (depth+1, 2) ints
-    g_star: np.ndarray   # (depth+1,) observed cells per generation
-    t_star: np.ndarray   # (depth+1,) cumulative observed cells
-    t01: np.ndarray      # (depth+1,) cumulative both-daughters-observed mothers
+    g_star: np.ndarray
 
     @property
     def extinct(self) -> bool:
@@ -103,16 +90,14 @@ class ObservationTree:
     Invariants (checked at construction): the labels are integers,
     strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
     1 is observed, and no observed cell has an unobserved mother.
-    Construction also builds, once and read-only, the ObservedCounts that
-    ``counts()`` returns and the one-row Forest that ``as_forest`` returns
-    and ``Forest.of`` stacks: the tree's only index.  A simulator's tree
-    is built by ``_of_valid``, which skips the checks.
+    Construction also builds, once and read-only, the one-row Forest that
+    ``as_forest`` returns and ``Forest.of`` stacks: the tree's only index.
+    A simulator's tree is built by ``_of_valid``, which skips the checks.
     """
 
     depth: int
     labels: np.ndarray = field(repr=False)
     _row: Forest = field(init=False, repr=False)
-    _counts: ObservedCounts = field(init=False, repr=False)
 
     def __post_init__(self):
         check_depth(self.depth)
@@ -133,29 +118,23 @@ class ObservationTree:
         return tree
 
     def _index(self, n: int, labels: np.ndarray) -> None:
-        """Keep depth ``n`` and ``labels``, with their counts and row, frozen."""
+        """Keep depth ``n`` and ``labels``, with their row, frozen."""
         mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
-        gen1 = np.frexp(labels)[1]  # floor(log2 k) + 1, exact for k < 2**53
         # in sorted order an even daughter is directly followed by her
         # sister when both are observed (k | 1 is k + 1 for an even k only)
         pairs = np.flatnonzero(labels[1:] == (labels[:-1] | 1))
         group = labels & 1  # each cell's type, then the root's mark for a Forest
-        z = np.bincount(2 * gen1 + group, minlength=2 * (n + 2))[2:].reshape(n + 1, 2)
         group[0] = 2
-        t01 = np.cumsum(np.bincount(gen1[pairs], minlength=n + 3)[2:])  # by mothers' generation
-        g_star = z.sum(axis=1)
-        zn = z[n].tolist()
-        fit = np.array([[labels.size - sum(zn), pairs.size, labels.size, *zn, n]])
+        start = np.searchsorted(labels, 1 << n)  # generation n starts at |T*_{n-1}|
+        odd = group[start:].sum()
+        fit = np.array([[start, pairs.size, labels.size, labels.size - start - odd, odd, n]])
         pair_rows = np.zeros(pairs.size, np.intp)
-        counts = ObservedCounts(n, z, g_star, np.cumsum(g_star), t01)
-        # every caller shares these arrays
-        for arr in (labels, group, mothers, pairs, pair_rows, fit, z, g_star, counts.t_star, t01):
+        for arr in (labels, group, mothers, pairs, pair_rows, fit):  # every caller shares these
             arr.flags.writeable = False
         object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_row", Forest(labels, None, group, mothers, pairs,
                                                 pair_rows, fit, single=True))
-        object.__setattr__(self, "_counts", counts)
 
     def __eq__(self, other):
         if not isinstance(other, ObservationTree):
@@ -191,7 +170,9 @@ class ObservationTree:
         return self.labels
 
     def counts(self) -> ObservedCounts:
-        return self._counts
+        """The observed cells per generation, read off the labels on each call."""
+        starts = np.searchsorted(self.labels, 1 << np.arange(self.depth + 2))
+        return ObservedCounts(np.diff(starts))
 
     def reflect(self) -> "ObservationTree":
         """Swap every sibling pair recursively (mirror the tree)."""
@@ -211,13 +192,14 @@ class Forest(NamedTuple):
     root (a bin the estimators drop), ``mothers`` her mother's position
     (a root's is her own).  Per observed sister pair: ``pairs`` is the
     even daughter's position (her sister is the next) and ``pair_rows``
-    its row.  ``counts`` holds, per row of depth n, |T*_{n-1}|,
-    |T*01_{n-1}|, |T*_n|, z[n] (two) and n.  The one-row forest that an
-    ObservationTree keeps is ``single``: it stands for that tree, and the
-    estimators give its results without the row axis and raise its first
-    StatError, where for other forests they keep one StatError per row
-    (``mc.run_test`` runs these under ``np.errstate``, so that a failing
-    row warns of nothing).
+    its row.  ``counts`` holds, per row of depth n, the counts that the
+    three tests read besides their sums: |T*_{n-1}|, |T*01_{n-1}|,
+    |T*_n|, z[n] (the even and odd cells of generation n) and n.  The
+    one-row forest that an ObservationTree keeps is ``single``: it stands
+    for that tree, and the estimators give its results without the row
+    axis and raise its first StatError, where for other forests they keep
+    one StatError per row (``mc.run_test`` runs these under
+    ``np.errstate``, so that a failing row warns of nothing).
     """
 
     labels: np.ndarray
@@ -246,7 +228,7 @@ class Forest(NamedTuple):
                    np.concatenate([r.counts for r in rows]))
 
     @property
-    def index(self):
+    def row_index(self):
         """What reads the rows off a stacked result: all of them, or one tree's."""
         return 0 if self.single else slice(None)
 

@@ -1,20 +1,25 @@
 """The public API is what the README documents.
 
-Six contracts, checked on the source text, and one on a fresh import:
+Seven contracts, checked on the source text, and three run:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
+- the README's code blocks run, and print what their comments say;
 - no module of the package imports a name it never uses;
 - no module defines a module-level ``_private`` name it never reads;
 - every method or property of the package's classes is read, as
   ``.name``, by the package, the README, the demos, the benchmark
   scripts or the acceptance tests, unless it overrides a base's;
+- no class of the package redefines a base's method but
+  ``cli._Parser.error``;
 - the README lists exactly the keys ``mc --config`` reads;
 - importing the package and its CLI leaves ``numpy.random`` unloaded.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -60,6 +65,18 @@ def test_readme_and_demos_import_only_exported_names():
     imported = set().union(*(root_imports(s) for s in sources))
     assert imported, "no root import found"
     assert imported <= set(barlineage.__all__), imported - set(barlineage.__all__)
+
+
+def test_readme_code_runs():
+    blocks, printed = readme_code(), []
+    assert len(blocks) == 3
+    for block in blocks:  # each in a fresh namespace
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed.append(out.getvalue())
+    want = re.search(r"print\(tree\.counts\(\)\.g_star\)\s+# (.*)", blocks[1])
+    assert want and printed[1] == want.group(1) + "\n"
 
 
 def unused_imports(source: str) -> set[str]:
@@ -146,6 +163,13 @@ def test_every_method_is_read():
         return [p.read_text(encoding="utf-8") for p in paths]
 
     assert unread_methods(texts(package), texts(readers), README) - overridden_names() == set()
+
+
+def test_only_the_parser_overrides_a_base_method():
+    # a base's own code calls the name a class redefines: a property named
+    # ``index`` on a NamedTuple would break ``tuple.index``
+    assert {n for n in overridden_names() if not n.startswith("__")} == {"error"}
+    assert "error" in vars(cli._Parser)
 
 
 def test_unread_method_is_found():

@@ -510,6 +510,7 @@ class TestEstimate:
         out = json.loads(capsys.readouterr().out)
         assert out["depth"] == 30 and out["n_observed"] == 31
         assert out["gw"]["mother_counts"] == [15, 14]
+        assert ingest(path)[0].counts().g_star.tolist() == [1] * 31
         assert out["bar"]["warnings"] == ["no_sister_pairs"]
         # every mother of record has one daughter: the mean difference is
         # estimated without variance

@@ -124,9 +124,8 @@ class TestSimulateObservationTree:
         model = GwModel(ALWAYS_BOTH, ALWAYS_BOTH)
         tree = simulate_observation_tree(model, 3, replica_stream(0))
         assert tree.observed_indices().tolist() == list(range(1, 16))
-        c = tree.counts()
-        for n in range(1, 4):
-            assert c.z[n].tolist() == [2 ** (n - 1), 2 ** (n - 1)]
+        assert tree.counts().g_star.tolist() == [2 ** n for n in range(4)]
+        assert as_forest(tree).counts[0, 3:5].tolist() == [4, 4]  # z[3]
 
     def test_no_offspring_law_gives_root_only(self):
         model = GwModel(ALWAYS_NONE, ALWAYS_NONE)
@@ -167,7 +166,7 @@ class TestSimulateObservationTree:
         ours = simulate_observation_tree(GwModel(law0, law1), depth, replica_stream(key))
         checked = ObservationTree(depth, ours.observed_indices())
         for read in (ObservationTree.observed_indices, lambda t: as_forest(t).mothers[1:],
-                     lambda t: as_forest(t).pairs):
+                     lambda t: as_forest(t).pairs, lambda t: as_forest(t).counts):
             a, b = read(ours), read(checked)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert not a.flags.writeable
@@ -377,5 +376,5 @@ class TestGwMeanTest:
         assert rep.test == "gw_mean"
         assert rep.df == 1
         assert 0.0 <= rep.p_value <= 1.0
-        assert rep.n_tstar == int(tree.counts().t_star[7])
+        assert rep.n_tstar == int(tree.counts().g_star[:8].sum())
         assert rep.statistic >= 0.0

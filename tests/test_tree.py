@@ -89,7 +89,8 @@ class TestValidate:
         # a label listed twice is one observed cell
         tree = ObservationTree.from_indices(2, [1, 3, 3, 2, 1])
         assert tree.observed_indices().tolist() == [1, 2, 3]
-        assert tree.counts().t_star[2] == 3
+        assert tree.counts().g_star.tolist() == [1, 2, 0]
+        assert as_forest(tree).counts[0, 2] == 3
 
     @BUILDS
     @pytest.mark.parametrize("labels,bad", [
@@ -135,37 +136,38 @@ class TestValidate:
                 ObservationTree.from_indices(depth, [1])
 
 
+def row_counts(z, t01):
+    """A depth-n row's counts from per-generation z and cumulative t01:
+    (|T*_{n-1}|, |T*01_{n-1}|, |T*_n|, z[n] (two), n)."""
+    t_star, n = np.cumsum([sum(r) for r in z]), len(z) - 1
+    return [int(t_star[n - 1]), int(t01[n - 1]), int(t_star[n]), *map(int, z[n]), n]
+
+
 class TestObservedCounts:
+    # a row's counts: |T*_{n-1}|, |T*01_{n-1}|, |T*_n|, z[n] (two), n
     def test_complete_depth2(self):
         tree = ObservationTree.from_indices(2, range(1, 8))
-        c = tree.counts()
-        assert c.z[1].tolist() == [1, 1]
-        assert c.z[2].tolist() == [2, 2]
-        assert c.t_star[2] == 7
-        assert not c.extinct
+        assert tree.counts().g_star.tolist() == [1, 2, 4]
+        assert as_forest(tree).counts.tolist() == [[3, 3, 7, 2, 2, 2]]
+        assert not tree.counts().extinct
 
     def test_root_only(self):
         tree = ObservationTree.from_indices(3, {1})
-        c = tree.counts()
-        assert (c.z[1:] == 0).all()
-        assert (c.t_star == 1).all()
-        assert c.extinct
+        assert tree.counts().g_star.tolist() == [1, 0, 0, 0]
+        assert as_forest(tree).counts.tolist() == [[1, 0, 1, 0, 0, 3]]
+        assert tree.counts().extinct
 
     def test_partial_depth2(self):
         # cells 1 and 3 have both daughters observed, cell 2 has none
         tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
-        c = tree.counts()
-        assert c.z[1].tolist() == [1, 1]
-        assert c.z[2].tolist() == [1, 1]
-        assert c.t01[2] == 2
+        assert tree.counts().g_star.tolist() == [1, 2, 2]
+        assert as_forest(tree).counts.tolist() == [[3, 2, 5, 1, 1, 2]]
 
     @given(observation_trees())
     def test_matches_brute_force(self, tree):
-        c = tree.counts()
         z, t01 = brute_counts(tree)
-        assert c.z.tolist() == z
-        assert c.t01.tolist() == t01
-        assert c.t_star.tolist() == np.cumsum([sum(r) for r in z]).tolist()
+        assert tree.counts().g_star.tolist() == [sum(r) for r in z]
+        assert as_forest(tree).counts.tolist() == [row_counts(z, t01)]
 
     @given(observation_trees())
     def test_labels_and_pair_mothers(self, tree):
@@ -226,9 +228,10 @@ class TestDenseOracle:
         labels, pair_mothers, counts = dense_tree(depth, delta)
         assert tree.observed_indices().tobytes() == labels.tobytes()
         assert (labels[as_forest(tree).pairs] >> 1).tobytes() == pair_mothers.tobytes()
-        c = tree.counts()
-        for got, want in zip((c.z, c.g_star, c.t_star, c.t01), counts):
-            assert got.tobytes() == want.tobytes()
+        z, g_star, t_star, t01 = counts
+        assert tree.counts().g_star.tobytes() == g_star.tobytes()
+        row = np.array([[t_star[depth - 1], t01[depth - 1], t_star[depth], *z[depth], depth]])
+        assert as_forest(tree).counts.tobytes() == row.tobytes()
 
         if depth >= 2:
             rep = estimate_reproduction(tree)
