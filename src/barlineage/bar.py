@@ -327,7 +327,9 @@ def fixed_point_test(est: BarEstimate):
         fail_rows(errors, abs(v) <= UNIT_ROOT_GUARD,
                   lambda r, name=name, v=v: NearUnitRoot(name, at_row(v, r)))
     fp0, fp1 = a / (1.0 - b), c / (1.0 - d)
-    grad = np.array([1.0 / (1.0 - b), a / (1.0 - b) ** 2, -1.0 / (1.0 - d), -c / (1.0 - d) ** 2]).T
+    # products, not ** 2: a numpy scalar's ** 2 is libm pow, an ulp off an array's square
+    grad = np.array([1.0 / (1.0 - b), a / ((1.0 - b) * (1.0 - b)),
+                     -1.0 / (1.0 - d), -c / ((1.0 - d) * (1.0 - d))]).T
     delta_f = (est.cov * (grad[..., :, None] * grad[..., None, :])).sum(axis=(-2, -1))
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_f) & (delta_f < np.inf)),  # nan fails too
               lambda r: DegenerateVariance(f"fixed-point variance {at_row(delta_f, r):.3g}"))

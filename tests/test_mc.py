@@ -32,6 +32,8 @@ from barlineage.mc import (
     bounded_workers,
     run_test,
 )
+from barlineage.numerics import shared_stream
+from barlineage.tree import Forest
 
 from conftest import overflowing_leaves
 
@@ -147,6 +149,18 @@ class TestRunReplica:
         tree = ObservationTree.from_indices(3, range(1, 16))
         with pytest.raises(ValueError):
             run_test("anova", tree, None)
+
+    def test_a_replica_fits_as_its_forest_row(self):
+        # table 3, seed 97, H1, generation 10, replica 35: fitted alone, this
+        # tree once squared 1 - b_hat by libm pow, an ulp off its forest row
+        cfg = table_config(3, master_seed=97)
+        rng = shared_stream(97, 1, 10, 35)
+        tree = gw.simulate_observation_tree(cfg.gw_null, 10, rng)
+        values = bar.simulate_bar_values(cfg.bar_alt, 10, cfg.bar_alt.fixed_point_odd, rng)
+        (row,) = run_test("fixed_point", Forest.of([tree], [values]))
+        alone = run_test("fixed_point", tree, values).p_value
+        assert alone.hex() == row.p_value.hex() == "0x1.a9bbd6f59ec25p-4"
+        assert run_replica(cfg, "H1", 10, 35).hex() == alone.hex()
 
     def test_threads_keep_their_own_streams(self):
         # each replica re-keys its thread's one generator; threads switched
