@@ -22,16 +22,13 @@ from . import bar, gw, mc
 from .errors import BarLineageError, DegenerateVariance, ParseError, StatError
 from .lineage_io import emit_lineage, ingest, read_text
 from .numerics import replica_stream
-from .tree import Forest
+from .tree import fitted
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 
 _TEST_ALIASES = {"gw": "gw_mean", "coeff": "coefficient", "fixed": "fixed_point"}
-# cells of the lineages that `batch` fits together, at most (one file more
-# than this is fitted alone), so that its memory does not grow with the files
-STACK_CELLS = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,44 +197,33 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_batch(args) -> int:
-    """Read every file as it comes; fit the usable ones together, at most
-    STACK_CELLS cells per fit, and report each file in order after its fit."""
+    """Read every file as it comes; fit the usable ones together, in stacks
+    (``tree.fitted``), and report each file in order after its fit."""
     name = _TEST_ALIASES[args.which]
     directory = Path(args.directory)
     if not directory.is_dir():
         raise BarLineageError(f"{directory}: not a directory")
-    lines, notes, stack, cells = ["file,test,p_value"], [], [], 0
 
-    def fit():
-        rows = iter(mc.run_test(name, Forest.of(*zip(*stack))) if stack else ())
-        for path, note in notes:
-            if note is None:  # a fitted file: a p-value, or nan and its StatError
-                row = next(rows)
-                note = str(row) if isinstance(row, StatError) else None
-                p = "nan" if note else f"{row.p_value:.17g}"
-                lines.append(f"{path.name},{name},{p}")
-            if note:
-                print(f"{path}: {note}", file=sys.stderr)
-        notes.clear()
-        stack.clear()
+    def lineages():  # ((path, why it is not fitted), tree, values)
+        for path in sorted(directory.glob("*.csv")):
+            try:
+                tree, values = ingest(path)
+            except (BarLineageError, OSError) as exc:
+                yield (path, str(exc)), None, None
+                continue
+            if tree.depth < args.min_generations:
+                yield (path, f"skipped, depth {tree.depth} < --min-generations "
+                             f"{args.min_generations}"), None, None
+            else:
+                yield (path, None), tree, values
 
-    for path in sorted(directory.glob("*.csv")):
-        try:
-            tree, values = ingest(path)
-        except (BarLineageError, OSError) as exc:
-            notes.append((path, str(exc)))
-            continue
-        if tree.depth < args.min_generations:
-            notes.append((path, f"skipped, depth {tree.depth} < --min-generations "
-                                f"{args.min_generations}"))
-            continue
-        cells += tree.labels.size
-        if stack and cells > STACK_CELLS:
-            fit()
-            cells = tree.labels.size
-        stack.append((tree, values))
-        notes.append((path, None))
-    fit()
+    lines = ["file,test,p_value"]
+    for (path, note), row in fitted(lambda forest: mc.run_test(name, forest), lineages()):
+        if row is not None:  # a fitted file: a p-value, or nan and its StatError
+            note = str(row) if isinstance(row, StatError) else None
+            lines.append(f"{path.name},{name},{'nan' if note else f'{row.p_value:.17g}'}")
+        if note:
+            print(f"{path}: {note}", file=sys.stderr)
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -8,14 +8,15 @@ is undefined (degenerate) are removed from the denominator and counted.
 
 Every replica owns the stream keyed by (master_seed, hypothesis,
 generation, replica_id), so tables are bit-identical across runs and
-across worker counts.
+across worker counts.  A span of a cell's replicas draws each from its
+own stream and fits the survivors in stacks of at most
+``tree.STACK_CELLS`` cells; ``run_replica`` is a span of one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
-from .numerics import shared_stream
-from .tree import MAX_DEPTH, as_forest
+from .numerics import span_streams
+from .tree import MAX_DEPTH, as_forest, fitted
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -131,22 +132,32 @@ def run_test(which_test: str, tree, values=None):
 
 
 def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: int):
-    """One replica: simulate, test, return a p-value, EXTINCT or DEGENERATE."""
-    rng = shared_stream(config.master_seed, _HYP_CODE[hypothesis], generation, replica_id)
-    gw_model = config.gw_null
-    if config.which_test == "gw_mean" and hypothesis == "H1":
-        gw_model = config.gw_alt
-    tree = gw.simulate_observation_tree(gw_model, generation, rng)
-    if tree.counts().extinct:
-        return EXTINCT
-    values = None
-    if config.which_test != "gw_mean":
-        model = config.bar_null if hypothesis == "H0" else config.bar_alt
-        values = bar.simulate_bar_values(model, generation, model.fixed_point_odd, rng)
-    try:
-        return run_test(config.which_test, tree, values).p_value
-    except StatError:
-        return DEGENERATE
+    """One replica, as a span of one: a p-value, EXTINCT or DEGENERATE."""
+    return _span(config, hypothesis, generation, replica_id, replica_id + 1)[0]
+
+
+def _span(config, hypothesis, generation, lo, hi):
+    """The outcomes of replicas lo .. hi - 1 of one cell, each drawn from its
+    own stream: EXTINCT, or its row's p-value in a stack of the survivors
+    (``fitted``), or DEGENERATE for a row that ends in a StatError."""
+    which, alt = config.which_test, hypothesis == "H1"
+    gw_model = config.gw_alt if which == "gw_mean" and alt else config.gw_null
+    model = None if which == "gw_mean" else config.bar_alt if alt else config.bar_null
+
+    def replicas():
+        for rng in span_streams(config.master_seed, (_HYP_CODE[hypothesis], generation),
+                                range(lo, hi)):
+            tree = gw.simulate_observation_tree(gw_model, generation, rng)
+            if tree.labels[-1] < 1 << generation:  # no orphans: generation n is empty if any is
+                yield EXTINCT, None, None
+                continue
+            values = None if model is None else bar.simulate_bar_values(
+                model, generation, model.fixed_point_odd, rng)
+            yield None, tree, values
+
+    rows = fitted(lambda forest: run_test(which, forest), replicas())
+    return [tag or (DEGENERATE if isinstance(row, StatError) else row.p_value)
+            for tag, row in rows]
 
 
 @dataclass(frozen=True)
@@ -170,8 +181,7 @@ class McTable:
 
 
 def _cell_worker(args):
-    config, hypothesis, generation, lo, hi = args
-    return [run_replica(config, hypothesis, generation, r) for r in range(lo, hi)]
+    return _span(*args)
 
 
 def bounded_workers(requested: int, replicas: int, cpus: int) -> int:
@@ -201,6 +211,8 @@ def run_table(config: McConfig, workers: int | None = None) -> McTable:
     jobs = [(config, h, g, *span) for g, h in keys for span in spans]
     if workers <= 1:
         return _tabulate(config, keys, len(spans), map(_cell_worker, jobs))
+    from concurrent.futures import ProcessPoolExecutor  # not at import: a serial run needs none
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         return _tabulate(config, keys, len(spans), pool.map(_cell_worker, jobs))

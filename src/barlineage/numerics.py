@@ -7,9 +7,10 @@ same (seed, subkeys) tuple always yields the same stream, independent
 streams for different tuples, and normal variates come from numpy's
 ziggurat ``standard_normal`` on that stream.  This triple (Philox,
 splitmix64 keying, ziggurat normals) is the reproducibility contract:
-replica results are bit-identical across runs and worker counts.
-``run_replica`` and ``run_table`` reset one generator per process (per
-thread: ``shared_stream``) to each replica's key, which then reads exactly
+replica results are bit-identical across runs and worker counts.  A
+Monte Carlo span (``run_replica`` is a span of one) draws each replica
+from its own stream, as one generator per thread reset to each replica's
+key in turn (``span_streams``), which then reads exactly
 ``replica_stream``'s stream; ``replica_stream`` still returns a fresh one.
 
 Stream layout of one Monte Carlo replica of depth n: first 2^n - 1
@@ -60,17 +61,30 @@ def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
 _shared = threading.local()  # .generator: built on first use, not at import
 
 
-def shared_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
-    """This thread's one generator, reset to read exactly the stream of
-    ``replica_stream(master_seed, *subkeys)`` until the next call."""
+def _reset(key: tuple[int, int]) -> np.random.Generator:
+    """This thread's one generator, reset to a fresh Philox(key=key)."""
     generator = getattr(_shared, "generator", None)
     if generator is None:  # once: Philox() reads OS entropy for a seed it never uses
         generator = _shared.generator = np.random.Generator(np.random.Philox())
     # a fresh Philox(key=...): counter 0, empty buffer, no spare uint32
-    state = {"counter": (0, 0, 0, 0), "key": _stream_key(master_seed, subkeys)}
+    state = {"counter": (0, 0, 0, 0), "key": key}
     generator.bit_generator.state = {"bit_generator": "Philox", "state": state, "uinteger": 0,
                                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0}
     return generator
+
+
+def shared_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
+    """This thread's one generator, reset to read exactly the stream of
+    ``replica_stream(master_seed, *subkeys)`` until the next call."""
+    return _reset(_stream_key(master_seed, subkeys))
+
+
+def span_streams(master_seed: int, prefix, ids):
+    """``shared_stream(master_seed, *prefix, i)`` for each i of ``ids`` in turn:
+    the prefix is folded once, then each i takes one splitmix64 step."""
+    k0, acc = _stream_key(master_seed, prefix)
+    for i in ids:
+        yield _reset((k0, _splitmix64(acc ^ (int(i) & _MASK64))))
 
 
 def symmetric_2x2(m: np.ndarray):

@@ -20,6 +20,7 @@ results do not depend on the rows beside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,10 @@ from .errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
 
 # ~2e9 cells; the Monte Carlo experiments never need more than depth 11.
 MAX_DEPTH = 30
+# cells of the trees fitted together in one Forest, at most (a larger tree is
+# fitted alone): a larger stack spreads a fit's fixed cost over more rows, but
+# holds about 100 B per cell until its fit ends (the sweep is in CHANGES.md)
+STACK_CELLS = 1 << 11
 
 
 def check_depth(depth: int) -> None:
@@ -213,15 +218,15 @@ class Forest(NamedTuple):
 
     @classmethod
     def of(cls, trees, values=None) -> "Forest":
-        """The forest of ObservationTrees ``trees`` and, if given, their
-        ValueTrees ``values``: each tree's row, stacked."""
-        rows = [t._row for t in trees]
+        """The forest of ObservationTrees ``trees`` (or one-row Forests) and,
+        if given, their ValueTrees ``values``: each one's row, stacked."""
+        rows = [as_forest(t, v) for t, v in zip(trees, values or repeat(None))]
         sizes = np.array([r.labels.size for r in rows])
         starts, ids = np.cumsum(sizes) - sizes, np.arange(len(rows))
         group = 2 * np.repeat(ids, sizes) + np.concatenate([r.group for r in rows])
         group[starts] = 2 * ids.size
-        x = None if values is None else [v.observed(t) for v, t in zip(values, trees)]
-        return cls(np.concatenate([r.labels for r in rows]), x and np.concatenate(x), group,
+        x = None if rows[0].x is None else np.concatenate([r.x for r in rows])
+        return cls(np.concatenate([r.labels for r in rows]), x, group,
                    np.concatenate([r.mothers + s for r, s in zip(rows, starts)]),
                    np.concatenate([r.pairs + s for r, s in zip(rows, starts)]),
                    np.repeat(ids, [r.pairs.size for r in rows]),
@@ -243,3 +248,29 @@ def as_forest(tree, values=None) -> Forest:
     if isinstance(tree, Forest):
         return tree
     return tree._row if values is None else tree._row._replace(x=values.observed(tree))
+
+
+def fitted(fit, lineages):
+    """(tag, row) for each (tag, tree, values) of ``lineages``, in order: the
+    tree's row of ``fit`` run on a Forest, or None for a tree None.  Consecutive
+    trees share a Forest of at most STACK_CELLS cells (a larger tree is fitted
+    alone); a tree waiting for its fit keeps only its row and observed traits."""
+    tags, rows, cells = [], [], 0
+
+    def fit_stack():
+        forest = Forest.of(rows) if rows else None
+        rows.clear()  # before the fit, which needs only the forest
+        out = iter(() if forest is None else fit(forest))
+        done = [(tag, next(out) if has_tree else None) for tag, has_tree in tags]
+        tags.clear()
+        return done
+
+    for tag, tree, values in lineages:
+        if tree is not None:
+            if rows and cells + tree.labels.size > STACK_CELLS:
+                yield from fit_stack()
+                cells = 0
+            cells += tree.labels.size
+            rows.append(as_forest(tree, values))
+        tags.append((tag, tree is not None))
+    yield from fit_stack()

@@ -13,7 +13,8 @@ Seven contracts, checked on the source text, and three run:
 - no class of the package redefines a base's method but
   ``cli._Parser.error``;
 - the README lists exactly the keys ``mc --config`` reads;
-- importing the package and its CLI leaves ``numpy.random`` unloaded.
+- importing the package and its CLI leaves ``numpy.random`` and the
+  process pool unloaded.
 """
 
 import ast
@@ -193,6 +194,17 @@ def test_import_leaves_numpy_random_unloaded():
     # load it (about 6 MB) in every process that imports the package, such
     # as the parent of a worker pool, which never draws
     code = "import sys, barlineage, barlineage.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only run_table with workers > 1 needs the pool; importing it would pull
+    # multiprocessing, socket, subprocess and pickle into every serial process
+    code = ("import sys, barlineage, barlineage.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -3,7 +3,7 @@
 A row's p-value (or StatError) must be the very bytes that its tree gives
 alone, whichever rows stand beside it and in whatever order: no sum,
 check or non-finite value of one row may reach another.  ``batch`` fits
-its files this way, in stacks of at most ``cli.STACK_CELLS`` cells.
+its files this way, in stacks of at most ``tree.STACK_CELLS`` cells.
 """
 
 import contextlib
@@ -155,5 +155,5 @@ def test_batch_rows_do_not_depend_on_the_stack(drawn):
             together = _batch(directory, which)
             assert together[0].splitlines() == expected
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "STACK_CELLS", 1)  # one file per fit
+                mp.setattr("barlineage.tree.STACK_CELLS", 1)  # one file per fit
                 assert _batch(directory, which) == together

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -162,6 +163,20 @@ class TestRunReplica:
         assert alone.hex() == row.p_value.hex() == "0x1.a9bbd6f59ec25p-4"
         assert run_replica(cfg, "H1", 10, 35).hex() == alone.hex()
 
+    @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+    def test_extinct_exactly_when_a_generation_is_empty(self, hypothesis):
+        # the worker reads extinction off the deepest label alone
+        cfg = table_config(1, master_seed=3)
+        model = cfg.gw_alt if hypothesis == "H1" else cfg.gw_null
+        seen = set()
+        for depth in range(1, 12):
+            for r in range(60):
+                rng = shared_stream(3, int(hypothesis == "H1"), depth, r)
+                extinct = gw.simulate_observation_tree(model, depth, rng).counts().extinct
+                assert (run_replica(cfg, hypothesis, depth, r) == EXTINCT) == extinct
+                seen.add(extinct)
+        assert seen == {False, True}
+
     def test_threads_keep_their_own_streams(self):
         # each replica re-keys its thread's one generator; threads switched
         # every microsecond must still give the serial outcomes
@@ -185,6 +200,27 @@ class TestRunReplica:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert threaded == serial
+
+
+def _hexed(outcomes):
+    return [o.hex() if isinstance(o, float) else o for o in outcomes]
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_outcomes_do_not_depend_on_the_span_or_the_stack(monkeypatch, table):
+    cfg = table_config(table, master_seed=1)
+    kinds = set()
+    for generation, hypothesis in ((3, "H0"), (7, "H1"), (10, "H0")):
+        whole = _hexed(mc._span(cfg, hypothesis, generation, 0, 74))
+        for size in (1, 7, 37):
+            spans = [mc._span(cfg, hypothesis, generation, lo, min(lo + size, 74))
+                     for lo in range(0, 74, size)]
+            assert _hexed(o for span in spans for o in span) == whole
+        with monkeypatch.context() as mp:
+            mp.setattr("barlineage.tree.STACK_CELLS", 1)  # every survivor fitted alone
+            assert _hexed(mc._span(cfg, hypothesis, generation, 0, 74)) == whole
+        kinds.update(o if o in (EXTINCT, DEGENERATE) else "p" for o in whole)
+    assert kinds == {EXTINCT, DEGENERATE, "p"}
 
 
 class TestRunTable:
@@ -215,12 +251,12 @@ class TestRunTable:
     def test_one_pool_per_table(self, monkeypatch, two_cpus, workers, pools):
         started = []
 
-        class CountingPool(mc.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 started.append(self)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         assert run_table(SMALL, workers=workers) == run_table(SMALL, workers=1)
         assert len(started) == pools
         assert multiprocessing.active_children() == []
@@ -293,7 +329,10 @@ class TestRunTable:
                 raise RuntimeError(f"replica {replica_id} failed")
             return EXTINCT
 
-        monkeypatch.setattr(mc, "run_replica", replica)
+        def span(config, hypothesis, generation, lo, hi):
+            return [replica(config, hypothesis, generation, r) for r in range(lo, hi)]
+
+        monkeypatch.setattr(mc, "_span", span)
         cfg = table_config(1, replicas=4, generations=(7, 8, 9, 10, 11), master_seed=5)
         with pytest.raises(failure):
             run_table(cfg, workers=2)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlineage import chi2_sf, replica_stream
-from barlineage.numerics import gaussian_pair, shared_stream, symmetric_2x2
+from barlineage.numerics import (
+    _stream_key,
+    gaussian_pair,
+    shared_stream,
+    span_streams,
+    symmetric_2x2,
+)
 
 
 class TestSymmetric2x2:
@@ -144,6 +150,16 @@ class TestSharedStream:
         assert not other.is_alive()
         tail = ours.random(3)
         assert np.concatenate([head, tail]).tobytes() == replica_stream(5, 1).random(6).tobytes()
+
+    @pytest.mark.parametrize("seed", [97, -5])
+    def test_a_span_folds_its_prefix_once(self, seed):
+        # one splitmix64 step per id after the (seed, 1, 9) prefix: the keys of
+        # the streams it hands out are the full fold's, id by id
+        keys = [g.bit_generator.state["state"]["key"].tolist()
+                for g in span_streams(seed, (1, 9), range(1000))]
+        assert keys == [list(_stream_key(seed, (1, 9, i))) for i in range(1000)]
+        for i, g in zip(range(3), span_streams(seed, (1, 9), range(3))):
+            assert draws(g) == draws(replica_stream(seed, 1, 9, i))
 
     @settings(max_examples=50, deadline=None)
     @given(a_key=st.lists(KEYS, min_size=1, max_size=3),
