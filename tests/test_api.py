@@ -189,23 +189,24 @@ def test_readme_lists_the_config_keys():
     assert re.findall(r"`(\w+)`", listed.group(1)) == list(cli._CONFIG_KEYS)
 
 
+def loaded_by_import(module: str) -> str:
+    """What a fresh interpreter prints, "True" or "False", for whether
+    importing the package and its CLI loads ``module``."""
+    code = f"import sys, barlineage, barlineage.cli; print({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_numpy_random_unloaded():
     # numpy loads np.random on first use; a generator built at import would
     # load it (about 6 MB) in every process that imports the package, such
     # as the parent of a worker pool, which never draws
-    code = "import sys, barlineage, barlineage.cli; print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert loaded_by_import("numpy.random") == "False"
 
 
 def test_import_leaves_the_process_pool_unloaded():
     # only run_table with workers > 1 needs the pool; importing it would pull
     # multiprocessing, socket, subprocess and pickle into every serial process
-    code = ("import sys, barlineage, barlineage.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert loaded_by_import("concurrent.futures.process") == "False"
