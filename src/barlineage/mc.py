@@ -142,7 +142,7 @@ def _span(config, hypothesis, generation, lo, hi):
     (``fitted``), or DEGENERATE for a row that ends in a StatError."""
     which, alt = config.which_test, hypothesis == "H1"
     gw_model = config.gw_alt if which == "gw_mean" and alt else config.gw_null
-    model = None if which == "gw_mean" else config.bar_alt if alt else config.bar_null
+    model = config.bar_alt if alt else config.bar_null
 
     def replicas():
         for rng in span_streams(config.master_seed, (_HYP_CODE[hypothesis], generation),
@@ -151,7 +151,7 @@ def _span(config, hypothesis, generation, lo, hi):
             if tree.labels[-1] < 1 << generation:  # no orphans: generation n is empty if any is
                 yield EXTINCT, None, None
                 continue
-            values = None if model is None else bar.simulate_bar_values(
+            values = None if which == "gw_mean" else bar.simulate_bar_values(
                 model, generation, model.fixed_point_odd, rng)
             yield None, tree, values
 
