@@ -9,9 +9,10 @@ plus noise, with separate coefficients for even and odd daughters:
 Sister noises share variance sigma2 and covariance rho.  Estimation is
 least squares over the observed mother-daughter pairs only; the two
 Wald tests compare (a, b) with (c, d) and the fixed points a/(1-b) with
-c/(1-d).  Each estimator fits one (values, tree) pair, or every row of a
-Forest at once: its results then carry a leading row axis, and a row
-that fails a check keeps its StatError instead of raising.
+c/(1-d).  Each estimator fits every row of a Forest at once, under its
+own ``np.errstate``: its results carry a leading row axis, and a row that
+fails a check keeps its StatError, without a numpy warning.  One (values,
+tree) pair is fitted as its one-row forest: row 0, or its StatError raised.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import DegenerateVariance, NearUnitRoot, SingularDesign, fail_rows
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
-from .report import TestReport, outcomes
-from .tree import ObservationTree, as_forest, as_labels, at_row, check_depth, mirror
+from .report import TestReport, first, outcomes
+from .tree import Forest, ObservationTree, as_forest, as_labels, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
@@ -158,9 +159,9 @@ class SufficientStats:
     presence of the even daughter, odd daughter, or both; ``rhs`` is the
     4-vector of daughter-value cross sums.  ``counts`` is
     (|T*_{n-1}|, |T*01_{n-1}|, |T*_n|) for a depth-n tree (ints, or one
-    array per count).  ``errors`` is None for one tree, whose first failed
-    check raises; for a forest it holds each row's first StatError, and a
-    failed row carries on as nan.
+    array per count).  ``errors`` is None for one tree, whose failed check
+    raises; for a forest it holds each row's first StatError, and a failed
+    row carries on as nan.
     """
 
     s0: np.ndarray
@@ -171,44 +172,53 @@ class SufficientStats:
     errors: list | None = None
 
     @cached_property
+    @np.errstate(all="ignore")
     def design_inverse(self) -> np.ndarray:
         """Inverses of s0 and s1 as a (..., 2, 2, 2) stack, computed on first use."""
-        s = np.concatenate([self.s0, self.s1], axis=-2).reshape(*self.s0.shape[:-2], 2, 2, 2)
+        s = np.concatenate([self.s0, self.s1], axis=-2).reshape(-1, 2, 2, 2)  # one tree: one row
         adj, det, lmax = symmetric_2x2(s)
         # the condition number is lmax^2 / det; a nan or inf moment fails too
         ok = (0 < det) & (det < np.inf) & (lmax * lmax <= MAX_COND * det)
 
         def singular(r):
-            i = int(np.argmin(at_row(ok, r)))
-            d, lm = at_row(det, r)[i], at_row(lmax, r)[i]
+            i = int(np.argmin(ok[r]))
+            d, lm = det[r, i], lmax[r, i]
             return SingularDesign(i, lm ** 2 / d if 0 < d < np.inf else np.inf)
 
-        fail_rows(self.errors, ~(ok[..., 0] & ok[..., 1]), singular)
-        return adj / det[..., None, None]
+        errors = self.errors or [None]  # one tree's stats keep none: its row's error is raised
+        fail_rows(errors, ~(ok[:, 0] & ok[:, 1]), singular)
+        if self.errors is None:
+            first(errors)
+        return (adj / det[..., None, None]).reshape(*self.s0.shape[:-2], 2, 2, 2)
 
 
 def _sums(ids, size, *weights) -> np.ndarray:
-    """(len(weights), size): each weight's sum per bin of ``ids`` (a count
-    for None), taken left to right, so that it does not depend on the
+    """(len(weights), size) floats: each weight's sum per bin of ``ids`` (a
+    count for None), taken left to right, so that it does not depend on the
     other bins; rows [0, 1, 1, 2] give the moments [[n, sx], [sx, sxx]]."""
-    return np.array([np.bincount(ids, w, size) for w in weights])
+    return np.array([np.bincount(ids, w, size) for w in weights], dtype=float)
 
 
+@np.errstate(all="ignore")
 def sufficient_stats(values, tree) -> SufficientStats:
     """The sums of one tree, or of each row of a Forest ``tree`` (``values`` None)."""
-    f = as_forest(tree, values)
-    rows, i, x = len(f.counts), f.row_index, f.x
+    if not isinstance(tree, Forest):
+        s = sufficient_stats(None, as_forest(tree, values))
+        return SufficientStats(s.s0[0], s.s1[0], s.s01[0], s.rhs[0],
+                               tuple(int(n[0]) for n in s.counts))
+    f = tree
+    rows, x = len(f.counts), f.x
     xm = x[f.mothers]
     both = xm[f.pairs]  # the mother of each sister pair
     # bins 2r and 2r + 1 hold row r's even and odd daughters, bin 2R the roots
     sums = _sums(f.group, 2 * rows + 1, None, xm, xm * xm, x, xm * x)[:, :-1]
     design = sums[[0, 1, 1, 2]].T.reshape(rows, 2, 2, 2)
     s01 = _sums(f.pair_rows, rows, None, both, both * both)[[0, 1, 1, 2]].T.reshape(rows, 2, 2)
-    counts = tuple(f.counts[0, :3].tolist()) if f.single else tuple(f.counts[:, :3].T)
-    return SufficientStats(design[i, 0], design[i, 1], s01[i], sums[3:].T.reshape(rows, 4)[i],
-                           counts, f.row_errors())
+    return SufficientStats(design[:, 0], design[:, 1], s01, sums[3:].T.reshape(rows, 4),
+                           tuple(f.counts[:, :3].T), [None] * rows)
 
 
+@np.errstate(all="ignore")
 def ls_estimate(stats: SufficientStats) -> np.ndarray:
     """Least-squares (a, b, c, d): one 2x2 solve per daughter type."""
     rhs = stats.rhs.reshape(*stats.rhs.shape[:-1], 2, 1, 2)
@@ -222,6 +232,7 @@ class NoiseEstimate:
     no_sister_pairs: bool = False
 
 
+@np.errstate(all="ignore")
 def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     """Residual variance and sister covariance from the fitted recursion,
     with one residual per observed daughter (type-0 squares summed first),
@@ -230,8 +241,11 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     With no observed sister pair the covariance is reported as 0 and
     flagged instead of raising, so callers can still emit a report.
     """
-    f = as_forest(tree, values)
-    rows, i, t01 = len(f.counts), f.row_index, f.counts[:, 1]
+    if not isinstance(tree, Forest):
+        noise = residual_noise_estimates(None, as_forest(tree, values), theta)
+        return NoiseEstimate(noise.sigma2_hat[0], noise.rho_hat[0], noise.no_sister_pairs[0])
+    f = tree
+    rows, t01 = len(f.counts), f.counts[:, 1]
     # each cell's (intercept, slope): (a, b) if even, (c, d) if odd; a root's is dropped
     coef = np.asarray(theta, dtype=float).reshape(-1, 2).take(f.group, axis=0, mode="clip")
     e = f.x - coef[:, 0] - coef[:, 1] * f.x[f.mothers]
@@ -239,9 +253,10 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     sigma2_hat = (sq[0:-1:2] + sq[1:-1:2]) / f.counts[:, 2]
     # the even daughter at p has residual e[p], her sister e[p + 1]
     rho_hat = np.bincount(f.pair_rows, e[f.pairs] * e[1:][f.pairs], rows) / np.maximum(t01, 1)
-    return NoiseEstimate(sigma2_hat[i], rho_hat[i], (t01 == 0)[i])
+    return NoiseEstimate(sigma2_hat, rho_hat, t01 == 0)
 
 
+@np.errstate(all="ignore")
 def asymptotic_covariance(stats: SufficientStats, sigma2_hat, rho_hat):
     """Sandwich covariance of sqrt(|T*_{n-1}|) (theta_hat - theta).
 
@@ -274,35 +289,48 @@ class BarEstimate:
     warnings: tuple = ()
     errors: list | None = None
 
+    def rows(self) -> "BarEstimate":
+        """One tree's estimate (``errors`` None) as its one-row forest's."""
+        return BarEstimate(self.theta[None], np.reshape(self.sigma2_hat, 1),
+                           np.reshape(self.rho_hat, 1), self.cov[None],
+                           tuple(np.reshape(n, 1) for n in self.counts), [self.warnings], [None])
+
 
 def estimate_bar(values, tree) -> BarEstimate:
     """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled,
     for one tree or for each row of a Forest ``tree`` (``values`` None)."""
-    f = as_forest(tree, values)
-    stats = sufficient_stats(None, f)
+    if not isinstance(tree, Forest):
+        est = estimate_bar(None, as_forest(tree, values))
+        first(est.errors)  # raises row 0's StatError, if it has one
+        return BarEstimate(est.theta[0], est.sigma2_hat[0], est.rho_hat[0], est.cov[0],
+                           tuple(int(n[0]) for n in est.counts), est.warnings[0])
+    stats = sufficient_stats(None, tree)
     theta = ls_estimate(stats)
-    noise = residual_noise_estimates(None, f, theta)
+    noise = residual_noise_estimates(None, tree, theta)
     cov = asymptotic_covariance(stats, noise.sigma2_hat, noise.rho_hat)
-    warns = [("no_sister_pairs",) if w else () for w in np.atleast_1d(noise.no_sister_pairs)]
-    return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts,
-                       warns[0] if f.single else warns, stats.errors)
+    warns = [("no_sister_pairs",) if w else () for w in noise.no_sister_pairs]
+    return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts, warns,
+                       stats.errors)
 
 
 def _report(test, est, r, statistic, df, estimates) -> TestReport:
     """Row ``r``'s TestReport, with the BAR estimates in front of ``estimates``."""
-    a, b, c, d = at_row(est.theta, r)
-    statistic = float(at_row(statistic, r))
+    a, b, c, d = est.theta[r]
+    statistic = float(statistic[r])
     base = {"a": float(a), "b": float(b), "c": float(c), "d": float(d),
-            "sigma2": float(at_row(est.sigma2_hat, r)), "rho": float(at_row(est.rho_hat, r))}
+            "sigma2": float(est.sigma2_hat[r]), "rho": float(est.rho_hat[r])}
     return TestReport(test=test, statistic=statistic, df=df, p_value=chi2_sf(statistic, df),
-                      n_tstar=int(at_row(est.counts[0], r)), estimates={**base, **estimates},
-                      warnings=list(at_row(est.warnings, r)))
+                      n_tstar=int(est.counts[0][r]), estimates={**base, **estimates},
+                      warnings=list(est.warnings[r]))
 
 
+@np.errstate(all="ignore")
 def coefficient_test(est: BarEstimate):
     """Wald test of (a, b) = (c, d), chi-square with 2 df; for a forest's
     estimate, each row's TestReport or StatError."""
-    errors, c = est.errors and list(est.errors), est.cov
+    if est.errors is None:  # one tree's
+        return first(coefficient_test(est.rows()))
+    errors, c = list(est.errors), est.cov
     # the covariance of (a - c, b - d), C00 + C11 - (C01 + C10)
     adj, det, lmax = symmetric_2x2((c[..., :2, :2] + c[..., 2:, 2:])
                                    - (c[..., :2, 2:] + c[..., 2:, :2]))
@@ -310,31 +338,33 @@ def coefficient_test(est: BarEstimate):
     # dividing; the negated test rejects nan and inf
     ok = (0 < lmax) & (VARIANCE_FLOOR * lmax < det) & (lmax * lmax <= MAX_COND * det)
     fail_rows(errors, ~ok, lambda r: DegenerateVariance(
-        f"covariance of (a - c, b - d): lmax {at_row(lmax, r):.3g}, det {at_row(det, r):.3g}"))
+        f"covariance of (a - c, b - d): lmax {lmax[r]:.3g}, det {det[r]:.3g}"))
     diff = est.theta[..., :2] - est.theta[..., 2:]
     quad = (adj * (diff[..., :, None] * diff[..., None, :])).sum(axis=(-2, -1))
     statistic = est.counts[0] * quad / det
     return outcomes(errors, lambda r: _report("coefficient", est, r, statistic, 2,
-                                              {"diff": at_row(diff, r).tolist()}))
+                                              {"diff": diff[r].tolist()}))
 
 
+@np.errstate(all="ignore")
 def fixed_point_test(est: BarEstimate):
     """Wald test of a/(1-b) = c/(1-d), chi-square with 1 df; for a forest's
     estimate, each row's TestReport or StatError."""
-    errors = est.errors and list(est.errors)
+    if est.errors is None:  # one tree's
+        return first(fixed_point_test(est.rows()))
+    errors = list(est.errors)
     a, b, c, d = est.theta.T
     for name, v in (("b_hat", 1.0 - b), ("d_hat", 1.0 - d)):
         fail_rows(errors, abs(v) <= UNIT_ROOT_GUARD,
-                  lambda r, name=name, v=v: NearUnitRoot(name, at_row(v, r)))
+                  lambda r, name=name, v=v: NearUnitRoot(name, v[r]))
     fp0, fp1 = a / (1.0 - b), c / (1.0 - d)
-    # products, not ** 2: a numpy scalar's ** 2 is libm pow, an ulp off an array's square
     grad = np.array([1.0 / (1.0 - b), a / ((1.0 - b) * (1.0 - b)),
                      -1.0 / (1.0 - d), -c / ((1.0 - d) * (1.0 - d))]).T
     delta_f = (est.cov * (grad[..., :, None] * grad[..., None, :])).sum(axis=(-2, -1))
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_f) & (delta_f < np.inf)),  # nan fails too
-              lambda r: DegenerateVariance(f"fixed-point variance {at_row(delta_f, r):.3g}"))
+              lambda r: DegenerateVariance(f"fixed-point variance {delta_f[r]:.3g}"))
     diff = fp0 - fp1
     statistic = est.counts[0] * diff * diff / delta_f
     return outcomes(errors, lambda r: _report("fixed_point", est, r, statistic, 1, {
-        "fixed_point_even": float(at_row(fp0, r)), "fixed_point_odd": float(at_row(fp1, r)),
-        "diff": float(at_row(diff, r)), "variance": float(at_row(delta_f, r))}))
+        "fixed_point_even": float(fp0[r]), "fixed_point_odd": float(fp1[r]),
+        "diff": float(diff[r]), "variance": float(delta_f[r])}))

@@ -44,13 +44,8 @@ class StatError(BarLineageError):
 
 
 def fail_rows(errors, bad, error) -> None:
-    """Give each row that ``bad`` marks the StatError ``error(r)``: raised for
-    one tree (``errors`` None; r is 0, or None if ``bad`` is one bool), else
-    kept as errors[r] unless an earlier check failed row r."""
-    if errors is None:
-        if bad:  # one bool, or an array of one
-            raise error(0 if np.ndim(bad) else None)
-        return
+    """Give each row r that ``bad`` marks the StatError ``error(r)``, kept as
+    errors[r] unless an earlier check failed row r."""
     for r in np.flatnonzero(bad):
         errors[r] = errors[r] or error(r)
 

@@ -5,8 +5,8 @@ daughters according to a law p_i(j0, j1) over {0,1}^2: j0 is whether
 the even daughter 2k is observed, j1 whether the odd daughter 2k+1
 is.  This module simulates the presence process, estimates the eight
 reproduction probabilities from one tree, and runs the Wald test for
-equality of the two laws' mean offspring counts, on one tree or on each
-row of a Forest.
+equality of the two laws' mean offspring counts on each row of a Forest
+(one tree as its one-row forest).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import (
     fail_rows,
 )
 from .numerics import VARIANCE_FLOOR, chi2_sf
-from .report import TestReport, outcomes
-from .tree import Forest, ObservationTree, as_forest, at_row, check_depth
+from .report import TestReport, first, outcomes
+from .tree import Forest, ObservationTree, as_forest, check_depth
 
 _SUM_TOL = 1e-12
 
@@ -181,32 +181,34 @@ def reproduction_covariance(est: ReproductionEstimate) -> np.ndarray:
     return v
 
 
+@np.errstate(all="ignore")
 def gw_mean_test(tree):
     """Wald test for equality of the two reproduction laws' means; for a
     Forest, each row's TestReport or StatError."""
-    f = as_forest(tree)
-    errors, i = f.row_errors(), f.row_index
-    fail_rows(errors, f.counts[i, 5] < 3,
+    if not isinstance(tree, Forest):
+        return first(gw_mean_test(as_forest(tree)))
+    errors = [None] * len(tree.counts)
+    fail_rows(errors, tree.counts[:, 5] < 3,
               lambda r: InsufficientData("the mean test needs depth >= 3"))
-    phat, counts, zhat = (a[i] for a in _reproduction(f))  # with depth >= 3, n >= 2 holds
+    phat, counts, zhat = _reproduction(tree)  # with depth >= 3, n >= 2 holds
     c0, c1 = counts.T
     fail_rows(errors, (c0 == 0) | (c1 == 0), lambda r: InsufficientData(
-        f"mothers of record per type: {tuple(at_row(counts, r).tolist())}"))
+        f"mothers of record per type: {tuple(counts[r].tolist())}"))
     # g'Vg for V = reproduction_covariance: per type, (sum g^2 p - (sum g p)^2) / z
     gp = (phat * MEAN_DIFF_GRADIENT).reshape(*counts.shape, 4)
     m = gp.sum(axis=-1)
     (m0, m1), (v0, v1) = m.T, (((gp * MEAN_DIFF_GRADIENT.reshape(2, 4)).sum(axis=-1)
                                 - m * m) / zhat).T
-    m_hat, delta_gw, t_star = m0 + m1, v0 + v1, f.counts[i, 0]
+    m_hat, delta_gw, t_star = m0 + m1, v0 + v1, tree.counts[:, 0]
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_gw) & (delta_gw < np.inf)),  # nan fails too
-              lambda r: DegenerateVariance(f"mean-difference variance {at_row(delta_gw, r):.3g}"))
+              lambda r: DegenerateVariance(f"mean-difference variance {delta_gw[r]:.3g}"))
     statistic = t_star * m_hat * m_hat / delta_gw
 
     def report(r):
-        stat = float(at_row(statistic, r))
-        return TestReport("gw_mean", stat, 1, chi2_sf(stat, 1), int(at_row(t_star, r)), {
-            "m_hat": float(at_row(m_hat, r)), "variance": float(at_row(delta_gw, r)),
-            "phat": at_row(phat, r).tolist(), "zhat": at_row(zhat, r).tolist(),
-            "mother_counts": at_row(counts, r).tolist()})
+        stat = float(statistic[r])
+        return TestReport("gw_mean", stat, 1, chi2_sf(stat, 1), int(t_star[r]), {
+            "m_hat": float(m_hat[r]), "variance": float(delta_gw[r]),
+            "phat": phat[r].tolist(), "zhat": zhat[r].tolist(),
+            "mother_counts": counts[r].tolist()})
 
     return outcomes(errors, report)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import bar, gw
 from .errors import StatError, TooManyDiscards
 from .numerics import span_streams
-from .tree import MAX_DEPTH, as_forest, fitted
+from .tree import MAX_DEPTH, fitted
 
 EXTINCT = "extinct"
 DEGENERATE = "degenerate"
@@ -120,19 +119,17 @@ def run_test(which_test: str, tree, values=None):
     there.  Given a Forest as ``tree``, run it on every row at once: a list
     of each row's TestReport or StatError."""
     check_field("which_test", which_test)
-    f = as_forest(tree, values)
-    # a non-finite row ends in its StatError; one tree raises at its first
-    with nullcontext() if f.single else np.errstate(all="ignore"):
-        if which_test == "gw_mean":
-            return gw.gw_mean_test(f)
-        est = bar.estimate_bar(None, f)
-        if which_test == "coefficient":
-            return bar.coefficient_test(est)
-        return bar.fixed_point_test(est)
+    if which_test == "gw_mean":
+        return gw.gw_mean_test(tree)
+    test = bar.coefficient_test if which_test == "coefficient" else bar.fixed_point_test
+    return test(bar.estimate_bar(values, tree))
 
 
 def run_replica(config: McConfig, hypothesis: str, generation: int, replica_id: int):
     """One replica, as a span of one: a p-value, EXTINCT or DEGENERATE."""
+    if hypothesis not in config.hypotheses:
+        raise ValueError(f"hypothesis {hypothesis!r} is not one of config.hypotheses "
+                         f"{config.hypotheses}")
     return _span(config, hypothesis, generation, replica_id, replica_id + 1)[0]
 
 

@@ -61,30 +61,21 @@ def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
 _shared = threading.local()  # .generator: built on first use, not at import
 
 
-def _reset(key: tuple[int, int]) -> np.random.Generator:
-    """This thread's one generator, reset to a fresh Philox(key=key)."""
+def span_streams(master_seed: int, prefix, ids):
+    """This thread's one generator, reset for each i of ``ids`` in turn to read
+    exactly the stream of ``replica_stream(master_seed, *prefix, i)`` until the
+    next i: the prefix is folded once, then each i takes one splitmix64 step."""
     generator = getattr(_shared, "generator", None)
     if generator is None:  # once: Philox() reads OS entropy for a seed it never uses
         generator = _shared.generator = np.random.Generator(np.random.Philox())
-    # a fresh Philox(key=...): counter 0, empty buffer, no spare uint32
-    state = {"counter": (0, 0, 0, 0), "key": key}
-    generator.bit_generator.state = {"bit_generator": "Philox", "state": state, "uinteger": 0,
-                                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0}
-    return generator
-
-
-def shared_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
-    """This thread's one generator, reset to read exactly the stream of
-    ``replica_stream(master_seed, *subkeys)`` until the next call."""
-    return _reset(_stream_key(master_seed, subkeys))
-
-
-def span_streams(master_seed: int, prefix, ids):
-    """``shared_stream(master_seed, *prefix, i)`` for each i of ``ids`` in turn:
-    the prefix is folded once, then each i takes one splitmix64 step."""
     k0, acc = _stream_key(master_seed, prefix)
     for i in ids:
-        yield _reset((k0, _splitmix64(acc ^ (int(i) & _MASK64))))
+        # a fresh Philox(key=...): counter 0, empty buffer, no spare uint32
+        state = {"counter": (0, 0, 0, 0), "key": (k0, _splitmix64(acc ^ (int(i) & _MASK64)))}
+        generator.bit_generator.state = {"bit_generator": "Philox", "state": state,
+                                         "uinteger": 0, "buffer": (0, 0, 0, 0),
+                                         "buffer_pos": 4, "has_uint32": 0}
+        yield generator
 
 
 def symmetric_2x2(m: np.ndarray):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import StatError
+
 
 @dataclass
 class TestReport:
@@ -35,8 +37,12 @@ class TestReport:
 
 
 def outcomes(errors, report):
-    """One tree's ``report(None)`` (``errors`` None); for a forest, each
-    row's first StatError or else its ``report(r)``."""
-    if errors is None:
-        return report(None)
+    """Each row's first StatError, or else its ``report(r)``."""
     return [e or report(r) for r, e in enumerate(errors)]
+
+
+def first(rows):
+    """Row 0 of a one-row forest's outcomes or errors, or its StatError raised."""
+    if isinstance(rows[0], StatError):
+        raise rows[0]
+    return rows[0]

@@ -14,7 +14,8 @@ counts off the labels on each call.
 
 A Forest stacks R such rows, row after row, for the estimators: each
 per-row sum is a weighted ``bincount`` over the row ids, so that a row's
-results do not depend on the rows beside it.
+results do not depend on the rows beside it.  One tree is fitted as its
+one-row forest.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class ObservationTree:
         object.__setattr__(self, "depth", n)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_row", Forest(labels, None, group, mothers, pairs,
-                                                pair_rows, fit, single=True))
+                                                pair_rows, fit))
 
     def __eq__(self, other):
         if not isinstance(other, ObservationTree):
@@ -184,11 +185,6 @@ class ObservationTree:
         return ObservationTree(self.depth, np.sort(mirror(self.labels)))
 
 
-def at_row(a, r):
-    """Row ``r`` of a forest's result ``a``, or ``a`` itself for one tree (r None)."""
-    return a if r is None else a[r]
-
-
 class Forest(NamedTuple):
     """R checked trees, with their traits if given, stacked row after row:
     row r of an estimator's result over a forest is its r-th tree's.
@@ -199,12 +195,7 @@ class Forest(NamedTuple):
     even daughter's position (her sister is the next) and ``pair_rows``
     its row.  ``counts`` holds, per row of depth n, the counts that the
     three tests read besides their sums: |T*_{n-1}|, |T*01_{n-1}|,
-    |T*_n|, z[n] (the even and odd cells of generation n) and n.  The
-    one-row forest that an ObservationTree keeps is ``single``: it stands
-    for that tree, and the estimators give its results without the row
-    axis and raise its first StatError, where for other forests they keep
-    one StatError per row (``mc.run_test`` runs these under
-    ``np.errstate``, so that a failing row warns of nothing).
+    |T*_n|, z[n] (the even and odd cells of generation n) and n.
     """
 
     labels: np.ndarray
@@ -214,7 +205,6 @@ class Forest(NamedTuple):
     pairs: np.ndarray
     pair_rows: np.ndarray
     counts: np.ndarray
-    single: bool = False
 
     @classmethod
     def of(cls, trees, values=None) -> "Forest":
@@ -231,15 +221,6 @@ class Forest(NamedTuple):
                    np.concatenate([r.pairs + s for r, s in zip(rows, starts)]),
                    np.repeat(ids, [r.pairs.size for r in rows]),
                    np.concatenate([r.counts for r in rows]))
-
-    @property
-    def row_index(self):
-        """What reads the rows off a stacked result: all of them, or one tree's."""
-        return 0 if self.single else slice(None)
-
-    def row_errors(self) -> list | None:
-        """A fresh first-StatError-per-row list, or None for one tree (which raises)."""
-        return None if self.single else [None] * len(self.counts)
 
 
 def as_forest(tree, values=None) -> Forest:

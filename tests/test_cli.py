@@ -426,6 +426,20 @@ class TestSimulate:
             assert err[-1].startswith(f"error: argument --law0: {reason}")
         assert not out.exists()
 
+    def test_overflowing_traits_end_in_one_error_line(self, tmp_path):
+        # the recursion overflows before the traits are checked; in a fresh
+        # interpreter that shows numpy's warnings, main's np.errstate keeps
+        # them off stderr
+        out, src = tmp_path / "sim.csv", Path(__file__).resolve().parents[1] / "src"
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "barlineage.cli", "simulate", "--depth", "6",
+             "--x1", "0", "--a", "1.7e308", "--c", "1.7e308", "--b", "0.9", "--d", "0.9",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert (run.returncode, run.stdout, out.exists()) == (1, "", False)
+        assert run.stderr == "error: trait values must be finite\n"
+
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 1.00 GiB")

@@ -3,12 +3,17 @@
 A row's p-value (or StatError) must be the very bytes that its tree gives
 alone, whichever rows stand beside it and in whatever order: no sum,
 check or non-finite value of one row may reach another.  ``batch`` fits
-its files this way, in stacks of at most ``tree.STACK_CELLS`` cells.
+its files this way, in stacks of at most ``tree.STACK_CELLS`` cells.  A
+tree alone is fitted as its one-row forest, so each single-tree function
+gives its row of the stacked call, and no fit lets a numpy warning out.
 """
 
 import contextlib
+import dataclasses
 import io
+import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +26,19 @@ from barlineage import (
     GwModel,
     ObservationTree,
     ValueTree,
+    coefficient_test,
     emit_lineage,
+    estimate_bar,
+    fixed_point_test,
+    gw_mean_test,
     ingest,
     replica_stream,
     simulate_bar_values,
     simulate_observation_tree,
 )
-from barlineage import cli
-from barlineage.errors import StatError
+from barlineage import cli, report
+from barlineage.bar import residual_noise_estimates, sufficient_stats
+from barlineage.errors import DegenerateVariance, StatError
 from barlineage.mc import P0_LAW, TESTS, run_test
 from barlineage.tree import Forest, as_forest
 
@@ -113,13 +123,13 @@ def test_a_tree_fits_as_its_stored_row(build, tmp_path):
     row, fitted, stacked = as_forest(tree), as_forest(tree, values), Forest.of([tree], [values])
     assert as_forest(tree) is row and row.x is None
     assert row.labels is tree.observed_indices()
-    for name in Forest._fields[:-1]:
+    for name in Forest._fields:
         a, b = getattr(fitted, name), getattr(stacked, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         if name != "x":
             assert a is getattr(row, name), name
             assert not a.flags.writeable, name
-    assert (row.single, fitted.single, stacked.single) == (True, True, False)
+    assert "single" not in Forest._fields  # a tree's row is a one-row forest like any other
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,3 +167,86 @@ def test_batch_rows_do_not_depend_on_the_stack(drawn):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr("barlineage.tree.STACK_CELLS", 1)  # one file per fit
                 assert _batch(directory, which) == together
+
+
+def test_a_non_finite_fit_warns_of_nothing():
+    # the residual squares overflow: sigma2_hat is inf, and each test's
+    # variance inf or nan, whether the tree is fitted alone or in a forest
+    tree, values = overflowing_leaves()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_bar(None, Forest.of([tree], [values]))
+        rows = coefficient_test(est) + fixed_point_test(est)
+        assert [type(r) for r in rows] == [DegenerateVariance] * 2
+        alone = estimate_bar(values, tree)
+        assert alone.sigma2_hat == np.inf and alone.errors is None
+        for test in (coefficient_test, fixed_point_test):
+            with pytest.raises(DegenerateVariance):
+                test(alone)
+        for which in TESTS:
+            with pytest.raises(DegenerateVariance):
+                run_test(which, tree, values)
+
+
+THETA = np.array([0.1, 0.5, 0.2, 0.4])
+
+
+def _fields(result, pick=lambda v: v):
+    """Each field of a result but ``errors``, as ``pick`` reads one tree's
+    value off it: arrays as their dtype, shape and bytes."""
+    out = {}
+    for f in dataclasses.fields(result):
+        v = getattr(result, f.name)
+        if f.name == "counts":
+            out[f.name] = tuple(int(pick(n)) for n in v)
+        elif f.name == "warnings":
+            out[f.name] = tuple(pick(v))
+        elif f.name != "errors":
+            a = np.asarray(pick(v))
+            out[f.name] = (a.dtype.str, a.shape, a.tobytes())
+    return out
+
+
+def _error(exc):
+    return type(exc), str(exc)
+
+
+def _alone(call):
+    """What a single-tree call gives: its fields or report, or its error."""
+    try:
+        result = call()
+    except StatError as exc:
+        return _error(exc)
+    if isinstance(result, report.TestReport):
+        return json.dumps(result.to_json_dict())
+    assert getattr(result, "errors", None) is None
+    assert all(type(n) is int for n in getattr(result, "counts", ()))
+    return _fields(result)
+
+
+def _row(result, r):
+    """Row r of a stacked call, as ``_alone`` reads a single-tree call."""
+    if isinstance(result, list):  # a test's rows
+        row = result[r]
+        return _error(row) if isinstance(row, StatError) else json.dumps(row.to_json_dict())
+    errors = getattr(result, "errors", None)
+    if errors and errors[r]:
+        return _error(errors[r])
+    return _fields(result, lambda v: v[r])
+
+
+@settings(max_examples=30, deadline=None)
+@given(lineages())
+def test_each_tree_function_gives_its_row(drawn):
+    forest = Forest.of([t for t, _ in drawn], [v for _, v in drawn])
+    stats, est = sufficient_stats(None, forest), estimate_bar(None, forest)
+    noise = residual_noise_estimates(None, forest, np.tile(THETA, (len(drawn), 1)))
+    tests = gw_mean_test(forest), coefficient_test(est), fixed_point_test(est)
+    for r, (tree, values) in enumerate(drawn):
+        assert _alone(lambda: sufficient_stats(values, tree)) == _row(stats, r)
+        assert _alone(lambda: estimate_bar(values, tree)) == _row(est, r)
+        assert _alone(lambda: residual_noise_estimates(values, tree, THETA)) == _row(noise, r)
+        alone = (_alone(lambda: gw_mean_test(tree)),
+                 _alone(lambda: coefficient_test(estimate_bar(values, tree))),
+                 _alone(lambda: fixed_point_test(estimate_bar(values, tree))))
+        assert alone == tuple(_row(rows, r) for rows in tests)

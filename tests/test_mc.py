@@ -18,6 +18,7 @@ from barlineage import (
     TooManyDiscards,
     emit_table,
     parse_table,
+    replica_stream,
     run_replica,
     run_table,
     table_config,
@@ -33,7 +34,6 @@ from barlineage.mc import (
     bounded_workers,
     run_test,
 )
-from barlineage.numerics import shared_stream
 from barlineage.tree import Forest
 
 from conftest import overflowing_leaves
@@ -146,6 +146,17 @@ class TestRunReplica:
         with np.errstate(all="ignore"):
             assert run_replica(cfg, "H0", 3, 0) == DEGENERATE
 
+    @pytest.mark.parametrize("config, hypothesis", [
+        (table_config(1, gw_alt=None), "H1"),
+        (table_config(3, bar_alt=None), "H1"),
+        (table_config(2), "H2"),
+        (table_config(1), "h0"),
+    ], ids=["gw-null-only", "bar-null-only", "H2", "h0"])
+    def test_a_hypothesis_the_config_does_not_run_is_named(self, config, hypothesis):
+        with pytest.raises(ValueError) as exc:
+            run_replica(config, hypothesis, 7, 0)
+        assert repr(hypothesis) in str(exc.value) and str(config.hypotheses) in str(exc.value)
+
     def test_run_test_rejects_unknown_name(self):
         tree = ObservationTree.from_indices(3, range(1, 16))
         with pytest.raises(ValueError):
@@ -155,7 +166,7 @@ class TestRunReplica:
         # table 3, seed 97, H1, generation 10, replica 35: fitted alone, this
         # tree once squared 1 - b_hat by libm pow, an ulp off its forest row
         cfg = table_config(3, master_seed=97)
-        rng = shared_stream(97, 1, 10, 35)
+        rng = replica_stream(97, 1, 10, 35)
         tree = gw.simulate_observation_tree(cfg.gw_null, 10, rng)
         values = bar.simulate_bar_values(cfg.bar_alt, 10, cfg.bar_alt.fixed_point_odd, rng)
         (row,) = run_test("fixed_point", Forest.of([tree], [values]))
@@ -171,7 +182,7 @@ class TestRunReplica:
         seen = set()
         for depth in range(1, 12):
             for r in range(60):
-                rng = shared_stream(3, int(hypothesis == "H1"), depth, r)
+                rng = replica_stream(3, int(hypothesis == "H1"), depth, r)
                 extinct = gw.simulate_observation_tree(model, depth, rng).counts().extinct
                 assert (run_replica(cfg, hypothesis, depth, r) == EXTINCT) == extinct
                 seen.add(extinct)

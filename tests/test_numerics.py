@@ -10,7 +10,6 @@ from barlineage import chi2_sf, replica_stream
 from barlineage.numerics import (
     _stream_key,
     gaussian_pair,
-    shared_stream,
     span_streams,
     symmetric_2x2,
 )
@@ -120,7 +119,13 @@ def draws(g):
         g.integers(0, 2 ** 32, size=3, dtype=np.uint32), g.random(2)))
 
 
-class TestSharedStream:
+def reset(seed, *subkeys):
+    """The generator of a one-id span that reads ``replica_stream(seed, *subkeys)``."""
+    *prefix, i = subkeys
+    return next(span_streams(seed, prefix, [i]))
+
+
+class TestSpanStreams:
     # what an earlier replica may have left in the shared generator
     EARLIER = {
         "random": lambda g: g.random(3),
@@ -129,22 +134,23 @@ class TestSharedStream:
     }
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=KEYS, subkeys=st.lists(KEYS, max_size=4), earlier_key=KEYS,
+    @given(seed=KEYS, subkeys=st.lists(KEYS, min_size=1, max_size=5), earlier_key=KEYS,
            earlier=st.sampled_from(sorted(EARLIER)))
     def test_reads_the_replica_stream(self, seed, subkeys, earlier_key, earlier):
-        g = shared_stream(earlier_key)
+        g = reset(earlier_key, 0)
         self.EARLIER[earlier](g)
         if earlier == "uint32":  # half of a 64-bit word is left buffered
             assert g.bit_generator.state["has_uint32"] == 1
-        assert draws(shared_stream(seed, *subkeys)) == draws(replica_stream(seed, *subkeys))
+        assert draws(reset(seed, *subkeys)) == draws(replica_stream(seed, *subkeys))
 
     def test_is_one_generator(self):
-        assert shared_stream(1) is shared_stream(2, 3)
+        span = list(span_streams(2, (3,), range(3)))
+        assert all(g is span[0] for g in span) and reset(1, 0) is span[0]
 
     def test_each_thread_has_its_own(self):
-        ours = shared_stream(5, 1)
+        ours = reset(5, 1)
         head = ours.random(3)
-        other = threading.Thread(target=lambda: shared_stream(9, 9).random(100))
+        other = threading.Thread(target=lambda: reset(9, 9).random(100))
         other.start()
         other.join(timeout=30)
         assert not other.is_alive()
@@ -162,11 +168,11 @@ class TestSharedStream:
             assert draws(g) == draws(replica_stream(seed, 1, 9, i))
 
     @settings(max_examples=50, deadline=None)
-    @given(a_key=st.lists(KEYS, min_size=1, max_size=3),
+    @given(a_key=st.lists(KEYS, min_size=2, max_size=4),
            b_key=st.lists(KEYS, min_size=1, max_size=3))
     def test_fresh_streams_held_at_once_do_not_interfere(self, a_key, b_key):
         a, b = replica_stream(*a_key), replica_stream(*b_key)
-        shared = shared_stream(*a_key)
+        shared = reset(*a_key)
         interleaved = [(a.random(), b.standard_normal(), shared.random()) for _ in range(4)]
         assert [x for x, _, _ in interleaved] == replica_stream(*a_key).random(4).tolist()
         assert [y for _, y, _ in interleaved] == replica_stream(*b_key).standard_normal(4).tolist()
