@@ -293,6 +293,9 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
         if len(values) != len(_COLUMNS):
             raise ValueError(f"table row {name!r}: expected {len(_COLUMNS)} fields: {_CSV_HEADER}")
         try:
+            for c, kind, v in zip(_COLUMNS, _TYPES, values):  # JSON values are not coerced
+                if fmt == "json" and not (type(v) is kind or kind is float and type(v) is int):
+                    raise ValueError(f"{kind.__name__} column {c} holds {json.dumps(v)}")
             r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
             if not 0.0 <= r["rejection_pct"] <= 100.0:  # nan too
                 raise ValueError(f"rejection_pct {r['rejection_pct']} is not in [0, 100]")

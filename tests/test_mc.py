@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import time
@@ -366,6 +367,8 @@ def toy_table(thresholds=(0.05, 0.01)):
 # the default pair, a threshold with more than 6 significant digits, and
 # a repeated threshold
 ROUND_TRIP_THRESHOLDS = [(0.05, 0.01), (0.0123456789, 0.01), (0.05, 0.05)]
+JSON_ROW = {"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": 1.0,
+            "n_used": 10, "n_extinct": 0, "n_degenerate": 0}
 
 
 class TestEmitParse:
@@ -405,7 +408,12 @@ class TestEmitParse:
         *((emit_table(toy_table()) + f"7,H1,0.01,{pct},10,0,0\n",
            rf"'7,H1,0.01,{pct},10,0,0': rejection_pct \S+ is not in \[0, 100\]")
           for pct in ("inf", "1e400", "nan", "100.5")),
-    ], ids=["empty", "blank", "short-row", "inf-pct", "overflowing-pct", "nan-pct", "pct-over-100"])
+        (emit_table(toy_table()) + "7,H1,0.01,19.9,18.5,0,0\n",
+         r"'7,H1,0.01,19.9,18.5,0,0': invalid literal for int\(\)"),
+        (emit_table(toy_table()) + "true,H1,0.01,19.9,10,0,0\n",
+         r"'true,H1,0.01,19.9,10,0,0': invalid literal for int\(\)"),
+    ], ids=["empty", "blank", "short-row", "inf-pct", "overflowing-pct", "nan-pct", "pct-over-100",
+            "fractional-count", "bool-generation"])
     def test_parse_rejects_unreadable_csv(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text)
@@ -420,12 +428,21 @@ class TestEmitParse:
         *(('[{"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": %s,'
            ' "n_used": 10, "n_extinct": 0, "n_degenerate": 0}]' % pct,
            r"rejection_pct \S+ is not in \[0, 100\]")
-          for pct in ("1e400", "Infinity", "NaN", '"inf"', "-0.5")),
+          for pct in ("1e400", "Infinity", "NaN", "-0.5")),
+        ('[{"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": "inf",'
+         ' "n_used": 10, "n_extinct": 0, "n_degenerate": 0}]',
+         'float column rejection_pct holds "inf"'),
         ('[{"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": 1.0,'
-         ' "n_used": 1e400, "n_extinct": 0, "n_degenerate": 0}]', "infinity to integer"),
+         ' "n_used": 1e400, "n_extinct": 0, "n_degenerate": 0}]', "int column n_used holds Infinity"),
+        # a JSON value is not coerced to its column's type, unlike a CSV field
+        *((json.dumps([{**JSON_ROW, column: v}]),
+           rf"table row '.*': {kind} column {column} holds {re.escape(json.dumps(v))}$")
+          for column, v, kind in [("n_used", 18.5, "int"), ("generation", True, "int"),
+                                  ("n_extinct", "0", "int"), ("threshold", True, "float")]),
     ], ids=["missing-column", "not-an-object", "null-cell", "object", "empty-list",
-            "overflowing-pct", "inf-pct", "nan-pct", "inf-string-pct", "negative-pct",
-            "overflowing-count"])
+            "overflowing-pct", "inf-pct", "nan-pct", "negative-pct", "inf-string-pct",
+            "overflowing-count", "fractional-count", "bool-generation", "string-count",
+            "bool-threshold"])
     def test_parse_rejects_unreadable_json(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text, fmt="json")
@@ -454,6 +471,18 @@ class TestEmitParse:
         rows = json.loads(emit_table(toy_table(), fmt="json"))
         rows[1][column] += 1
         with pytest.raises(ValueError, match=r"cell \(7, 'H0'\): its rows disagree"):
+            parse_table(json.dumps(rows), fmt="json")
+
+    def test_parse_rejects_unknown_format(self):
+        with pytest.raises(ValueError, match="unsupported format 'xml'"):
+            parse_table(emit_table(toy_table()), fmt="xml")
+
+    def test_parse_rejects_a_cell_whose_thresholds_differ(self):
+        # rows 2 and 3 are the two thresholds of cell (7, 'H1')
+        rows = json.loads(emit_table(toy_table(), fmt="json"))
+        rows[3]["threshold"] = 0.02
+        with pytest.raises(ValueError, match=r"cell \(7, 'H1'\) does not list the thresholds "
+                                             r"\(0\.05, 0\.01\)"):
             parse_table(json.dumps(rows), fmt="json")
 
     def test_parse_rejects_csv_without_rows(self):
