@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateVariance, NearUnitRoot, SingularDesign, fail_rows
 from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
 from .report import TestReport, first, outcomes
-from .tree import Forest, ObservationTree, as_forest, as_labels, check_depth, mirror
+from .tree import Forest, ObservationTree, as_labels, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
 
@@ -203,7 +203,7 @@ def _sums(ids, size, *weights) -> np.ndarray:
 def sufficient_stats(values, tree) -> SufficientStats:
     """The sums of one tree, or of each row of a Forest ``tree`` (``values`` None)."""
     if not isinstance(tree, Forest):
-        s = sufficient_stats(None, as_forest(tree, values))
+        s = sufficient_stats(None, Forest.of([tree], [values]))
         return SufficientStats(s.s0[0], s.s1[0], s.s01[0], s.rhs[0],
                                tuple(int(n[0]) for n in s.counts))
     f = tree
@@ -242,7 +242,7 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     flagged instead of raising, so callers can still emit a report.
     """
     if not isinstance(tree, Forest):
-        noise = residual_noise_estimates(None, as_forest(tree, values), theta)
+        noise = residual_noise_estimates(None, Forest.of([tree], [values]), theta)
         return NoiseEstimate(noise.sigma2_hat[0], noise.rho_hat[0], noise.no_sister_pairs[0])
     f = tree
     rows, t01 = len(f.counts), f.counts[:, 1]
@@ -300,7 +300,7 @@ def estimate_bar(values, tree) -> BarEstimate:
     """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled,
     for one tree or for each row of a Forest ``tree`` (``values`` None)."""
     if not isinstance(tree, Forest):
-        est = estimate_bar(None, as_forest(tree, values))
+        est = estimate_bar(None, Forest.of([tree], [values]))
         first(est.errors)  # raises row 0's StatError, if it has one
         return BarEstimate(est.theta[0], est.sigma2_hat[0], est.rho_hat[0], est.cov[0],
                            tuple(int(n[0]) for n in est.counts), est.warnings[0])

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .numerics import VARIANCE_FLOOR, chi2_sf
 from .report import TestReport, first, outcomes
-from .tree import Forest, ObservationTree, as_forest, check_depth
+from .tree import Forest, ObservationTree, check_depth
 
 _SUM_TOL = 1e-12
 
@@ -163,7 +163,7 @@ def estimate_reproduction(tree: ObservationTree) -> ReproductionEstimate:
     """
     if tree.depth < 2:
         raise InsufficientData("estimating reproduction laws needs depth >= 2")
-    f = as_forest(tree)
+    f = Forest.of([tree])
     phat, counts, zhat = (a[0] for a in _reproduction(f))
     return ReproductionEstimate(phat, tuple(counts.tolist()), tuple(zhat.tolist()),
                                 int(f.counts[0, 0]))
@@ -186,7 +186,7 @@ def gw_mean_test(tree):
     """Wald test for equality of the two reproduction laws' means; for a
     Forest, each row's TestReport or StatError."""
     if not isinstance(tree, Forest):
-        return first(gw_mean_test(as_forest(tree)))
+        return first(gw_mean_test(Forest.of([tree])))
     errors = [None] * len(tree.counts)
     fail_rows(errors, tree.counts[:, 5] < 3,
               lambda r: InsufficientData("the mean test needs depth >= 3"))

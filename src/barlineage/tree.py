@@ -4,24 +4,21 @@ Cells are labelled 1, 2, 3, ... with the two daughters of cell k at 2k
 (type 0, "even") and 2k+1 (type 1, "odd"); the mother of k >= 2 is
 k // 2.  Generation g is the label range [2**g, 2**(g+1)).
 
-An ObservationTree is the ascending array of its observed labels.  At
-construction it builds, once, its one-row Forest: where each observed
-cell's mother sits in the label array, where its observed sister pairs
-sit, and the counts a fit needs.  The estimators read a tree only
-through that row (a daughter's type is her label's parity), so nothing
-here grows with 2**depth.  ``counts()`` reads the per-generation cell
-counts off the labels on each call.
+An ObservationTree is the ascending array of its observed labels, and
+nothing more: ``counts()`` reads the per-generation cell counts off the
+labels on each call, so nothing here grows with 2**depth.
 
-A Forest stacks R such rows, row after row, for the estimators: each
-per-row sum is a weighted ``bincount`` over the row ids, so that a row's
-results do not depend on the rows beside it.  One tree is fitted as its
-one-row forest.
+A Forest stacks the labels of R trees, row after row, and indexes them
+once for the estimators: where each cell's mother sits, where the
+observed sister pairs sit (a daughter's type is her label's parity), and
+the counts a fit needs.  Each per-row sum is a weighted ``bincount`` over
+the row ids, so that a row's results do not depend on the rows beside
+it.  One tree is fitted as its one-row forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +28,8 @@ from .errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
 # ~2e9 cells; the Monte Carlo experiments never need more than depth 11.
 MAX_DEPTH = 30
 # cells of the trees fitted together in one Forest, at most (a larger tree is
-# fitted alone): a larger stack spreads a fit's fixed cost over more rows, but
-# holds about 100 B per cell until its fit ends (the sweep is in CHANGES.md)
+# fitted alone): a larger stack spreads a fit's fixed cost over more rows, but its
+# fit peaks at 65-85 B per cell, 31-40 B of them its Forest's (see CHANGES.md)
 STACK_CELLS = 1 << 11
 
 
@@ -95,52 +92,35 @@ class ObservationTree:
 
     Invariants (checked at construction): the labels are integers,
     strictly ascending and in [1, 2^(depth+1)) (``as_labels``), the root
-    1 is observed, and no observed cell has an unobserved mother.
-    Construction also builds, once and read-only, the one-row Forest that
-    ``as_forest`` returns and ``Forest.of`` stacks: the tree's only index.
-    A simulator's tree is built by ``_of_valid``, which skips the checks.
+    1 is observed, and no observed cell has an unobserved mother.  The
+    tree keeps only its depth and a frozen copy of its labels; a fit
+    indexes them in ``Forest.of``.  A simulator's tree is built by
+    ``_of_valid``, which skips the checks.
     """
 
     depth: int
     labels: np.ndarray = field(repr=False)
-    _row: Forest = field(init=False, repr=False)
 
     def __post_init__(self):
         check_depth(self.depth)
         labels = np.array(as_labels(self.labels, self.depth))  # a private copy
         if not labels.size or labels[0] != 1:
             raise MissingRoot()
-        self._index(self.depth, labels)
         # a cell's mother is the observed label k >> 1, if there is one
-        bad = labels[1:][labels[self._row.mothers[1:]] != labels[1:] >> 1]
+        kids = labels[1:]
+        bad = kids[labels[np.searchsorted(labels, kids >> 1)] != kids >> 1]
         if bad.size:
             raise OrphanCell(int(bad[0]))
+        labels.flags.writeable = False  # the tree's hash and equality read it
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def _of_valid(cls, depth: int, labels: np.ndarray) -> "ObservationTree":
         """The tree of int64 ``labels`` valid by construction, which it owns."""
+        labels.flags.writeable = False
         tree = object.__new__(cls)
-        tree._index(depth, labels)
+        tree.__dict__.update(depth=depth, labels=labels)
         return tree
-
-    def _index(self, n: int, labels: np.ndarray) -> None:
-        """Keep depth ``n`` and ``labels``, with their row, frozen."""
-        mothers = np.searchsorted(labels, labels >> 1)  # the root's label >> 1 is 0
-        # in sorted order an even daughter is directly followed by her
-        # sister when both are observed (k | 1 is k + 1 for an even k only)
-        pairs = np.flatnonzero(labels[1:] == (labels[:-1] | 1))
-        group = labels & 1  # each cell's type, then the root's mark for a Forest
-        group[0] = 2
-        start = np.searchsorted(labels, 1 << n)  # generation n starts at |T*_{n-1}|
-        odd = group[start:].sum()
-        fit = np.array([[start, pairs.size, labels.size, labels.size - start - odd, odd, n]])
-        pair_rows = np.zeros(pairs.size, np.intp)
-        for arr in (labels, group, mothers, pairs, pair_rows, fit):  # every caller shares these
-            arr.flags.writeable = False
-        object.__setattr__(self, "depth", n)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_row", Forest(labels, None, group, mothers, pairs,
-                                                pair_rows, fit))
 
     def __eq__(self, other):
         if not isinstance(other, ObservationTree):
@@ -164,8 +144,8 @@ class ObservationTree:
     def delta(self) -> np.ndarray:
         """Presence bits over all 2^(depth+1) labels (entry 0 unused).
 
-        A dense view built on every access, for inspection; nothing in
-        the library reads it.
+        A dense view built on every access (2 GB at depth 30), for
+        inspection; nothing in the library reads it.
         """
         delta = np.zeros(1 << (self.depth + 1), dtype=np.uint8)
         delta[self.labels] = 1
@@ -208,39 +188,47 @@ class Forest(NamedTuple):
 
     @classmethod
     def of(cls, trees, values=None) -> "Forest":
-        """The forest of ObservationTrees ``trees`` (or one-row Forests) and,
-        if given, their ValueTrees ``values``: each one's row, stacked."""
-        rows = [as_forest(t, v) for t, v in zip(trees, values or repeat(None))]
-        sizes = np.array([r.labels.size for r in rows])
-        starts, ids = np.cumsum(sizes) - sizes, np.arange(len(rows))
-        group = 2 * np.repeat(ids, sizes) + np.concatenate([r.group for r in rows])
-        group[starts] = 2 * ids.size
-        x = None if rows[0].x is None else np.concatenate([r.x for r in rows])
-        return cls(np.concatenate([r.labels for r in rows]), x, group,
-                   np.concatenate([r.mothers + s for r, s in zip(rows, starts)]),
-                   np.concatenate([r.pairs + s for r, s in zip(rows, starts)]),
-                   np.repeat(ids, [r.pairs.size for r in rows]),
-                   np.concatenate([r.counts for r in rows]))
+        """The forest of ObservationTrees ``trees`` and, if given, their
+        ``values``: each tree's ValueTree, or the traits of its labels.
 
-
-def as_forest(tree, values=None) -> Forest:
-    """``tree`` if it is a Forest, else the tree's own row, with the traits
-    of ``values`` if given."""
-    if isinstance(tree, Forest):
-        return tree
-    return tree._row if values is None else tree._row._replace(x=values.observed(tree))
+        The index is built in one pass over the stacked labels, each cell
+        keyed (row << 32) | label: the keys ascend, since MAX_DEPTH keeps
+        labels below 2^31, so a mother is found by one search and an even
+        daughter's key | 1 is the next key when her sister is observed.
+        """
+        sizes = np.array([t.labels.size for t in trees])
+        depths = np.array([t.depth for t in trees])
+        ids = np.arange(sizes.size)
+        labels = np.concatenate([t.labels for t in trees])
+        row = np.repeat(ids, sizes)
+        high = row << 32
+        key = high | labels
+        mothers = np.searchsorted(key, high | labels >> 1)  # a root's label >> 1 is 0
+        pairs = np.flatnonzero(key[1:] == key[:-1] | 1)
+        ends, types = np.cumsum(sizes), labels & 1
+        group = 2 * row + types  # each cell's type, then the roots' bin
+        group[ends - sizes] = 2 * ids.size
+        # generation n starts after the row's |T*_{n-1}| cells, the root among them
+        last = np.searchsorted(key, ids << 32 | 1 << depths)
+        seen = np.cumsum(types)  # the odd cells up to each position
+        odd = seen[ends - 1] - seen[last - 1]
+        counts = np.stack([last - ends + sizes, np.bincount(row[pairs], minlength=ids.size),
+                           sizes, ends - last - odd, odd, depths], axis=1)
+        x = None if values is None else np.concatenate(
+            [v if isinstance(v, np.ndarray) else v.observed(t) for t, v in zip(trees, values)])
+        return cls(labels, x, group, mothers, pairs, row[pairs], counts)
 
 
 def fitted(fit, lineages):
     """(tag, row) for each (tag, tree, values) of ``lineages``, in order: the
     tree's row of ``fit`` run on a Forest, or None for a tree None.  Consecutive
     trees share a Forest of at most STACK_CELLS cells (a larger tree is fitted
-    alone); a tree waiting for its fit keeps only its row and observed traits."""
-    tags, rows, cells = [], [], 0
+    alone); a tree waiting for its fit keeps only its labels and observed traits."""
+    tags, trees, traits, cells = [], [], [], 0
 
     def fit_stack():
-        forest = Forest.of(rows) if rows else None
-        rows.clear()  # before the fit, which needs only the forest
+        forest = Forest.of(trees, None if traits[0] is None else traits) if trees else None
+        del trees[:], traits[:]  # before the fit, which needs only the forest
         out = iter(() if forest is None else fit(forest))
         done = [(tag, next(out) if has_tree else None) for tag, has_tree in tags]
         tags.clear()
@@ -248,10 +236,11 @@ def fitted(fit, lineages):
 
     for tag, tree, values in lineages:
         if tree is not None:
-            if rows and cells + tree.labels.size > STACK_CELLS:
+            if trees and cells + tree.labels.size > STACK_CELLS:
                 yield from fit_stack()
                 cells = 0
             cells += tree.labels.size
-            rows.append(as_forest(tree, values))
+            trees.append(tree)
+            traits.append(None if values is None else values.observed(tree))
         tags.append((tag, tree is not None))
     yield from fit_stack()

@@ -1,6 +1,6 @@
 """The public API is what the README documents.
 
-Seven contracts, checked on the source text, and three run:
+Eight contracts, checked on the source text, and three run:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
@@ -12,6 +12,8 @@ Seven contracts, checked on the source text, and three run:
   scripts or the acceptance tests, unless it overrides a base's;
 - no class of the package redefines a base's method but
   ``cli._Parser.error``;
+- only ``Forest.of`` builds a Forest: no code of the package calls
+  ``Forest(...)``, or ``._replace`` or ``._make`` on one;
 - the README lists exactly the keys ``mc --config`` reads;
 - importing the package and its CLI leaves ``numpy.random`` and the
   process pool unloaded.
@@ -181,6 +183,27 @@ def test_unread_method_is_found():
               "    def __eq__(self, other):\n        return True\n")
     reader = "tree = Tree()\nprint(tree.used(), spare)\n"
     assert unread_methods([module], [module, reader], "Call `tree.documented()`.") == {"spare"}
+
+
+def forest_builds(source: str) -> list[int]:
+    """The lines of ``source`` that call ``Forest``, ``._replace`` or ``._make``:
+    ``Forest.of`` builds its forest as ``cls(...)``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            in ("Forest", "_replace", "_make")]
+
+
+def test_only_forest_of_builds_a_forest():
+    # a second index builder would have to keep every index field in step
+    # with Forest.of's; the forest's fields are built in one place
+    for path in sorted((ROOT / "src" / "barlineage").glob("*.py")):
+        assert forest_builds(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_forest_build_is_found():
+    source = ("f = Forest.of(trees)\ng = tree.Forest(*f)\nh = f._replace(x=None)\n"
+              "k = Forest._make(f)\nForest(1, 2)\n")
+    assert forest_builds(source) == [2, 3, 4, 5]
 
 
 def test_readme_lists_the_config_keys():

@@ -90,6 +90,10 @@ class TestBarModel:
         with pytest.raises(ValueError):
             BarModel(0.0, 0.5, 0.0, 0.5, 1.0, 1.5)
 
+    def test_rejects_negative_variance(self):
+        with pytest.raises(ValueError, match="sigma2 must be >= 0, got -1.0"):
+            BarModel(0.0, 0.5, 0.0, 0.5, -1.0, 0.0)
+
     @pytest.mark.parametrize("i", range(6))
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, i, bad):
@@ -165,6 +169,22 @@ class TestValueTree:
             ValueTree(2, np.array([1.0, 2.0, 3.0]), np.array([1, 2, 3])).observed(tree)
         with pytest.raises(ValueError, match="no trait for observed cell 7"):
             ValueTree(2, np.arange(1.0, 7.0), np.arange(1, 7)).observed(tree)
+
+    @pytest.mark.parametrize("x,labels,match", [
+        (np.zeros(7), None, r"x must have length 2\^\(depth\+1\) = 8"),
+        (np.zeros(9), None, r"x must have length 2\^\(depth\+1\) = 8"),
+        (np.zeros(2), np.array([1, 2, 3]), "x must hold one trait per label"),
+        (np.zeros((1, 3)), np.array([1, 2, 3]), "x must hold one trait per label"),
+    ], ids=["short-full-tree", "long-full-tree", "fewer-traits", "2-d-traits"])
+    def test_traits_fit_their_cells(self, x, labels, match):
+        with pytest.raises(ValueError, match=match):
+            ValueTree(2, x, labels)
+
+    def test_observed_needs_the_same_depth(self):
+        tree = ObservationTree.from_indices(3, {1, 2, 3})
+        for values in (ValueTree(2, np.zeros(8)), ValueTree(2, np.zeros(3), np.array([1, 2, 3]))):
+            with pytest.raises(ValueError, match="must share the same depth"):
+                values.observed(tree)
 
     def test_labels_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -279,6 +279,8 @@ class TestIngest:
             f"index,value\n1,0.5\n{1 << 63},0.5\n",
             "index,value\n",
             "# depth=4\nindex,value\n\n\n",
+            # a line above the header that is no comment sends the file to the line reader
+            "notes\nindex,value\n1,0.5\n2,0.25\n",
         ],
     )
     def test_first_defect_wins(self, tmp_path, text):
@@ -343,6 +345,12 @@ class TestBulkRead:
             assert list(line_labels) == labels.tolist()
             assert line_x.tobytes() == x_obs.tobytes()
             assert line_hint == hint
+
+    def test_a_line_above_the_header_is_named(self, tmp_path, per_line_reads):
+        with pytest.raises(ParseError) as exc:
+            ingest(write(tmp_path, "notes\nindex,value\n1,0.5\n2,0.25\n"))
+        assert exc.value.line_no == 1 and "got 'notes'" in str(exc.value)
+        assert len(per_line_reads) == 1
 
     @pytest.mark.parametrize("text", ["index,value\n", "# seed=1\nindex,value\n\n  \n"])
     def test_header_only_is_missing_root(self, tmp_path, per_line_reads, text):

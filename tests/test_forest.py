@@ -40,7 +40,7 @@ from barlineage import cli, report
 from barlineage.bar import residual_noise_estimates, sufficient_stats
 from barlineage.errors import DegenerateVariance, StatError
 from barlineage.mc import P0_LAW, TESTS, run_test
-from barlineage.tree import Forest, as_forest
+from barlineage.tree import Forest
 
 from conftest import overflowing_leaves
 from test_cli import CANCELLING, HUGE
@@ -119,16 +119,20 @@ def _ingested(directory):
 @pytest.mark.parametrize("build", [_simulated, _from_indices, _ingested],
                          ids=["simulated", "from_indices", "ingested"])
 def test_a_tree_fits_as_its_stored_row(build, tmp_path):
+    # a tree stores only its depth and labels; its fit indexes them as a
+    # one-row forest, with the traits given as a ValueTree or as an array
     tree, values = build(tmp_path)
-    row, fitted, stacked = as_forest(tree), as_forest(tree, values), Forest.of([tree], [values])
-    assert as_forest(tree) is row and row.x is None
-    assert row.labels is tree.observed_indices()
-    for name in Forest._fields:
-        a, b = getattr(fitted, name), getattr(stacked, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        if name != "x":
-            assert a is getattr(row, name), name
-            assert not a.flags.writeable, name
+    assert [f.name for f in dataclasses.fields(tree)] == ["depth", "labels"]
+    assert not tree.labels.flags.writeable
+    row = Forest.of([tree])
+    assert row.x is None and row.labels.tobytes() == tree.observed_indices().tobytes()
+    for traits in (values, values.observed(tree)):
+        fitted = Forest.of([tree], [traits])
+        assert fitted.x.tobytes() == values.observed(tree).tobytes()
+        for name in Forest._fields:
+            if name != "x":
+                a, b = getattr(fitted, name), getattr(row, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert "single" not in Forest._fields  # a tree's row is a one-row forest like any other
 
 
@@ -235,9 +239,8 @@ def _row(result, r):
     return _fields(result, lambda v: v[r])
 
 
-@settings(max_examples=30, deadline=None)
-@given(lineages())
-def test_each_tree_function_gives_its_row(drawn):
+def assert_rows_alone(drawn):
+    """Each function's row r over the stack of ``drawn`` is its r-th tree's alone."""
     forest = Forest.of([t for t, _ in drawn], [v for _, v in drawn])
     stats, est = sufficient_stats(None, forest), estimate_bar(None, forest)
     noise = residual_noise_estimates(None, forest, np.tile(THETA, (len(drawn), 1)))
@@ -250,3 +253,30 @@ def test_each_tree_function_gives_its_row(drawn):
                  _alone(lambda: coefficient_test(estimate_bar(values, tree))),
                  _alone(lambda: fixed_point_test(estimate_bar(values, tree))))
         assert alone == tuple(_row(rows, r) for rows in tests)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lineages())
+def test_each_tree_function_gives_its_row(drawn):
+    assert_rows_alone(drawn)
+
+
+def _deepest():
+    """A depth-30 tree: the chain 1, 3, 7, .. down to 2^26 - 1, then that
+    cell's full subtree, so that the deepest labels reach 2^31 - 1."""
+    top = (1 << 26) - 1
+    labels = [(1 << g) - 1 for g in range(1, 26)]
+    labels += [(top << g) + j for g in range(6) for j in range(1 << g)]
+    x = replica_stream(30).normal(size=len(labels))
+    return ObservationTree(30, labels), ValueTree(30, x, labels)
+
+
+def test_rows_beside_a_depth_30_tree_are_their_own():
+    # each cell's key in a stack is (row << 32) | label, so labels just
+    # under 2^31 must stay below the next row's keys
+    tree, values = _deepest()
+    assert tree.labels[-1] == (1 << 31) - 1 and len(tree.labels) == 88
+    assert_rows_alone([simulated(3, 1), FIXTURES["no_sister_pair"], (tree, values),
+                       simulated(7, 2), (tree, values), simulated(5, 3)])
+    for which in TESTS:  # the deep tree's own fit is a p-value, not a StatError
+        assert 0 <= run_test(which, tree, values).p_value <= 1

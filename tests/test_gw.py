@@ -26,7 +26,7 @@ from barlineage.errors import (
     NotPositive,
 )
 from barlineage.gw import MEAN_DIFF_GRADIENT, ReproductionEstimate
-from barlineage.tree import ObservedCounts, as_forest
+from barlineage.tree import Forest, ObservedCounts
 
 from conftest import brute_reproduction, brute_simulate_observation_tree, observation_trees
 
@@ -118,6 +118,12 @@ class TestDominantEigen:
         with pytest.raises(NotPositive):
             dominant_eigen([[0.9, 0.0], [0.6, 0.8]])
 
+    @pytest.mark.parametrize("p", [[[0.9]], [0.9, 0.3, 0.6, 0.8], np.full((3, 3), 0.5),
+                                   np.full((2, 2, 1), 0.5)])
+    def test_rejects_a_matrix_not_2x2(self, p):
+        with pytest.raises(ValueError, match="descendants matrix must be 2x2"):
+            dominant_eigen(p)
+
 
 class TestSimulateObservationTree:
     def test_deterministic_full_law_gives_complete_tree(self):
@@ -125,7 +131,7 @@ class TestSimulateObservationTree:
         tree = simulate_observation_tree(model, 3, replica_stream(0))
         assert tree.observed_indices().tolist() == list(range(1, 16))
         assert tree.counts().g_star.tolist() == [2 ** n for n in range(4)]
-        assert as_forest(tree).counts[0, 3:5].tolist() == [4, 4]  # z[3]
+        assert Forest.of([tree]).counts[0, 3:5].tolist() == [4, 4]  # z[3]
 
     def test_no_offspring_law_gives_root_only(self):
         model = GwModel(ALWAYS_NONE, ALWAYS_NONE)
@@ -165,11 +171,11 @@ class TestSimulateObservationTree:
         # the same labels, must find the same positions and counts
         ours = simulate_observation_tree(GwModel(law0, law1), depth, replica_stream(key))
         checked = ObservationTree(depth, ours.observed_indices())
-        for read in (ObservationTree.observed_indices, lambda t: as_forest(t).mothers[1:],
-                     lambda t: as_forest(t).pairs, lambda t: as_forest(t).counts):
+        for read in (ObservationTree.observed_indices, lambda t: Forest.of([t]).mothers[1:],
+                     lambda t: Forest.of([t]).pairs, lambda t: Forest.of([t]).counts):
             a, b = read(ours), read(checked)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert not a.flags.writeable
+        assert not ours.labels.flags.writeable and not checked.labels.flags.writeable
         for f in dataclasses.fields(ObservedCounts):
             a, b = getattr(ours.counts(), f.name), getattr(checked.counts(), f.name)
             assert np.asarray(a).dtype == np.asarray(b).dtype

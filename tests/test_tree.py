@@ -17,7 +17,7 @@ from barlineage.errors import (
     MissingRoot,
     OrphanCell,
 )
-from barlineage.tree import as_forest, generation
+from barlineage.tree import Forest, as_labels, generation
 
 from conftest import (
     brute_counts,
@@ -72,6 +72,16 @@ class TestValidate:
         tree = ObservationTree.from_indices(1, {1, 2, 3})
         assert tree.observed_indices().tolist() == [1, 2, 3]
 
+    def test_labels_are_one_dimensional(self):
+        with pytest.raises(ValueError, match="labels must be a 1-d array"):
+            as_labels(np.array([[1, 2, 3]]), 2)
+
+    def test_compares_by_depth_and_labels(self):
+        tree, same = ObservationTree(2, [1, 2, 3]), ObservationTree.from_indices(2, [3, 2, 1, 2])
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != ObservationTree(3, [1, 2, 3]) and tree != ObservationTree(2, [1, 2])
+        assert tree.__eq__(3) is NotImplemented and tree != 3
+
     def test_missing_root(self):
         with pytest.raises(MissingRoot):
             ObservationTree.from_indices(1, {2, 3})
@@ -90,7 +100,7 @@ class TestValidate:
         tree = ObservationTree.from_indices(2, [1, 3, 3, 2, 1])
         assert tree.observed_indices().tolist() == [1, 2, 3]
         assert tree.counts().g_star.tolist() == [1, 2, 0]
-        assert as_forest(tree).counts[0, 2] == 3
+        assert Forest.of([tree]).counts[0, 2] == 3
 
     @BUILDS
     @pytest.mark.parametrize("labels,bad", [
@@ -148,26 +158,26 @@ class TestObservedCounts:
     def test_complete_depth2(self):
         tree = ObservationTree.from_indices(2, range(1, 8))
         assert tree.counts().g_star.tolist() == [1, 2, 4]
-        assert as_forest(tree).counts.tolist() == [[3, 3, 7, 2, 2, 2]]
+        assert Forest.of([tree]).counts.tolist() == [[3, 3, 7, 2, 2, 2]]
         assert not tree.counts().extinct
 
     def test_root_only(self):
         tree = ObservationTree.from_indices(3, {1})
         assert tree.counts().g_star.tolist() == [1, 0, 0, 0]
-        assert as_forest(tree).counts.tolist() == [[1, 0, 1, 0, 0, 3]]
+        assert Forest.of([tree]).counts.tolist() == [[1, 0, 1, 0, 0, 3]]
         assert tree.counts().extinct
 
     def test_partial_depth2(self):
         # cells 1 and 3 have both daughters observed, cell 2 has none
         tree = ObservationTree.from_indices(2, {1, 2, 3, 6, 7})
         assert tree.counts().g_star.tolist() == [1, 2, 2]
-        assert as_forest(tree).counts.tolist() == [[3, 2, 5, 1, 1, 2]]
+        assert Forest.of([tree]).counts.tolist() == [[3, 2, 5, 1, 1, 2]]
 
     @given(observation_trees())
     def test_matches_brute_force(self, tree):
         z, t01 = brute_counts(tree)
         assert tree.counts().g_star.tolist() == [sum(r) for r in z]
-        assert as_forest(tree).counts.tolist() == [row_counts(z, t01)]
+        assert Forest.of([tree]).counts.tolist() == [row_counts(z, t01)]
 
     @given(observation_trees())
     def test_labels_and_pair_mothers(self, tree):
@@ -175,7 +185,7 @@ class TestObservedCounts:
         labels = [k for k in range(1, 2 ** (n + 1)) if delta[k]]
         pairs = [k for k in range(1, 2 ** n) if delta[2 * k] and delta[2 * k + 1]]
         assert tree.observed_indices().tolist() == labels
-        kids, row = tree.observed_indices()[1:], as_forest(tree)
+        kids, row = tree.observed_indices()[1:], Forest.of([tree])
         assert (tree.observed_indices()[row.mothers[1:]] == kids >> 1).all()
         assert (tree.observed_indices()[row.pairs] >> 1).tolist() == pairs
 
@@ -227,11 +237,11 @@ class TestDenseOracle:
         tree = tree_of(depth, delta)
         labels, pair_mothers, counts = dense_tree(depth, delta)
         assert tree.observed_indices().tobytes() == labels.tobytes()
-        assert (labels[as_forest(tree).pairs] >> 1).tobytes() == pair_mothers.tobytes()
+        assert (labels[Forest.of([tree]).pairs] >> 1).tobytes() == pair_mothers.tobytes()
         z, g_star, t_star, t01 = counts
         assert tree.counts().g_star.tobytes() == g_star.tobytes()
         row = np.array([[t_star[depth - 1], t01[depth - 1], t_star[depth], *z[depth], depth]])
-        assert as_forest(tree).counts.tobytes() == row.tobytes()
+        assert Forest.of([tree]).counts.tobytes() == row.tobytes()
 
         if depth >= 2:
             rep = estimate_reproduction(tree)
