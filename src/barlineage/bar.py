@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateVariance, NearUnitRoot, SingularDesign, fail_rows
-from .numerics import MAX_COND, VARIANCE_FLOOR, chi2_sf, gaussian_pair, symmetric_2x2
-from .report import TestReport, first, outcomes
+from .numerics import MAX_COND, VARIANCE_FLOOR, gaussian_pair, symmetric_2x2
+from .report import first, outcomes
 from .tree import Forest, ObservationTree, as_labels, check_depth, mirror
 
 UNIT_ROOT_GUARD = 1e-8
@@ -199,15 +199,22 @@ def _sums(ids, size, *weights) -> np.ndarray:
     return np.array([np.bincount(ids, w, size) for w in weights], dtype=float)
 
 
+def _traits(values):
+    """``values``, which no BAR fit can do without."""
+    if values is None:
+        raise ValueError("the BAR fit needs trait values")
+    return values
+
+
 @np.errstate(all="ignore")
 def sufficient_stats(values, tree) -> SufficientStats:
     """The sums of one tree, or of each row of a Forest ``tree`` (``values`` None)."""
     if not isinstance(tree, Forest):
-        s = sufficient_stats(None, Forest.of([tree], [values]))
+        s = sufficient_stats(None, Forest.of([tree], [_traits(values)]))
         return SufficientStats(s.s0[0], s.s1[0], s.s01[0], s.rhs[0],
                                tuple(int(n[0]) for n in s.counts))
     f = tree
-    rows, x = len(f.counts), f.x
+    rows, x = len(f.counts), _traits(f.x)
     xm = x[f.mothers]
     both = xm[f.pairs]  # the mother of each sister pair
     # bins 2r and 2r + 1 hold row r's even and odd daughters, bin 2R the roots
@@ -242,13 +249,13 @@ def residual_noise_estimates(values, tree, theta) -> NoiseEstimate:
     flagged instead of raising, so callers can still emit a report.
     """
     if not isinstance(tree, Forest):
-        noise = residual_noise_estimates(None, Forest.of([tree], [values]), theta)
+        noise = residual_noise_estimates(None, Forest.of([tree], [_traits(values)]), theta)
         return NoiseEstimate(noise.sigma2_hat[0], noise.rho_hat[0], noise.no_sister_pairs[0])
     f = tree
-    rows, t01 = len(f.counts), f.counts[:, 1]
+    rows, t01, x = len(f.counts), f.counts[:, 1], _traits(f.x)
     # each cell's (intercept, slope): (a, b) if even, (c, d) if odd; a root's is dropped
     coef = np.asarray(theta, dtype=float).reshape(-1, 2).take(f.group, axis=0, mode="clip")
-    e = f.x - coef[:, 0] - coef[:, 1] * f.x[f.mothers]
+    e = x - coef[:, 0] - coef[:, 1] * x[f.mothers]
     sq = np.bincount(f.group, e * e, 2 * rows + 1)
     sigma2_hat = (sq[0:-1:2] + sq[1:-1:2]) / f.counts[:, 2]
     # the even daughter at p has residual e[p], her sister e[p + 1]
@@ -295,12 +302,17 @@ class BarEstimate:
                            np.reshape(self.rho_hat, 1), self.cov[None],
                            tuple(np.reshape(n, 1) for n in self.counts), [self.warnings], [None])
 
+    def parameters(self, r: int) -> dict:
+        """Row ``r``'s a, b, c, d, sigma2 and rho, as floats."""
+        return dict(zip("abcd", self.theta[r].tolist()), sigma2=float(self.sigma2_hat[r]),
+                    rho=float(self.rho_hat[r]))
+
 
 def estimate_bar(values, tree) -> BarEstimate:
     """sufficient_stats -> ls_estimate -> residuals -> sandwich, bundled,
     for one tree or for each row of a Forest ``tree`` (``values`` None)."""
     if not isinstance(tree, Forest):
-        est = estimate_bar(None, Forest.of([tree], [values]))
+        est = estimate_bar(None, Forest.of([tree], [_traits(values)]))
         first(est.errors)  # raises row 0's StatError, if it has one
         return BarEstimate(est.theta[0], est.sigma2_hat[0], est.rho_hat[0], est.cov[0],
                            tuple(int(n[0]) for n in est.counts), est.warnings[0])
@@ -311,17 +323,6 @@ def estimate_bar(values, tree) -> BarEstimate:
     warns = [("no_sister_pairs",) if w else () for w in noise.no_sister_pairs]
     return BarEstimate(theta, noise.sigma2_hat, noise.rho_hat, cov, stats.counts, warns,
                        stats.errors)
-
-
-def _report(test, est, r, statistic, df, estimates) -> TestReport:
-    """Row ``r``'s TestReport, with the BAR estimates in front of ``estimates``."""
-    a, b, c, d = est.theta[r]
-    statistic = float(statistic[r])
-    base = {"a": float(a), "b": float(b), "c": float(c), "d": float(d),
-            "sigma2": float(est.sigma2_hat[r]), "rho": float(est.rho_hat[r])}
-    return TestReport(test=test, statistic=statistic, df=df, p_value=chi2_sf(statistic, df),
-                      n_tstar=int(est.counts[0][r]), estimates={**base, **estimates},
-                      warnings=list(est.warnings[r]))
 
 
 @np.errstate(all="ignore")
@@ -342,8 +343,8 @@ def coefficient_test(est: BarEstimate):
     diff = est.theta[..., :2] - est.theta[..., 2:]
     quad = (adj * (diff[..., :, None] * diff[..., None, :])).sum(axis=(-2, -1))
     statistic = est.counts[0] * quad / det
-    return outcomes(errors, lambda r: _report("coefficient", est, r, statistic, 2,
-                                              {"diff": diff[r].tolist()}))
+    return outcomes("coefficient", 2, statistic, est.counts[0], errors,
+                    lambda r: {**est.parameters(r), "diff": diff[r].tolist()}, est.warnings)
 
 
 @np.errstate(all="ignore")
@@ -365,6 +366,6 @@ def fixed_point_test(est: BarEstimate):
               lambda r: DegenerateVariance(f"fixed-point variance {delta_f[r]:.3g}"))
     diff = fp0 - fp1
     statistic = est.counts[0] * diff * diff / delta_f
-    return outcomes(errors, lambda r: _report("fixed_point", est, r, statistic, 1, {
-        "fixed_point_even": float(fp0[r]), "fixed_point_odd": float(fp1[r]),
-        "diff": float(diff[r]), "variance": float(delta_f[r])}))
+    return outcomes("fixed_point", 1, statistic, est.counts[0], errors, lambda r: {
+        **est.parameters(r), "fixed_point_even": float(fp0[r]), "fixed_point_odd": float(fp1[r]),
+        "diff": float(diff[r]), "variance": float(delta_f[r])}, est.warnings)

@@ -151,14 +151,7 @@ def _bar_block(tree, values) -> dict:
     est = bar.estimate_bar(values, tree)
     if not np.isfinite([*est.theta, est.sigma2_hat, est.rho_hat, *est.cov.flat]).all():
         raise DegenerateVariance("the BAR estimates are not all finite")
-    a, b, c, d = est.theta
-    return {
-        "a": a, "b": b, "c": c, "d": d,
-        "sigma2": est.sigma2_hat,
-        "rho": est.rho_hat,
-        "cov": est.cov.tolist(),
-        "warnings": list(est.warnings),
-    }
+    return {**est.rows().parameters(0), "cov": est.cov.tolist(), "warnings": list(est.warnings)}
 
 
 def _cmd_estimate(args) -> int:

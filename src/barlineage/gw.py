@@ -23,8 +23,8 @@ from .errors import (
     NotPositive,
     fail_rows,
 )
-from .numerics import VARIANCE_FLOOR, chi2_sf
-from .report import TestReport, first, outcomes
+from .numerics import VARIANCE_FLOOR
+from .report import first, outcomes
 from .tree import Forest, ObservationTree, check_depth
 
 _SUM_TOL = 1e-12
@@ -203,12 +203,6 @@ def gw_mean_test(tree):
     fail_rows(errors, ~((VARIANCE_FLOOR < delta_gw) & (delta_gw < np.inf)),  # nan fails too
               lambda r: DegenerateVariance(f"mean-difference variance {delta_gw[r]:.3g}"))
     statistic = t_star * m_hat * m_hat / delta_gw
-
-    def report(r):
-        stat = float(statistic[r])
-        return TestReport("gw_mean", stat, 1, chi2_sf(stat, 1), int(t_star[r]), {
-            "m_hat": float(m_hat[r]), "variance": float(delta_gw[r]),
-            "phat": phat[r].tolist(), "zhat": zhat[r].tolist(),
-            "mother_counts": counts[r].tolist()})
-
-    return outcomes(errors, report)
+    return outcomes("gw_mean", 1, statistic, t_star, errors, lambda r: {
+        "m_hat": float(m_hat[r]), "variance": float(delta_gw[r]), "phat": phat[r].tolist(),
+        "zhat": zhat[r].tolist(), "mother_counts": counts[r].tolist()})

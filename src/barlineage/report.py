@@ -1,10 +1,11 @@
-"""Shared result container for the three Wald tests."""
+"""The Wald tests' result container, and the one builder of each row's report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import StatError
+from .numerics import chi2_sf
 
 
 @dataclass
@@ -25,20 +26,16 @@ class TestReport:
     warnings: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "n_Tstar": self.n_tstar,
-            "estimates": self.estimates,
-            "warnings": list(self.warnings),
-        }
+        return {("n_Tstar" if k == "n_tstar" else k): v for k, v in asdict(self).items()}
 
 
-def outcomes(errors, report):
-    """Each row's first StatError, or else its ``report(r)``."""
-    return [e or report(r) for r, e in enumerate(errors)]
+def outcomes(test, df, statistic, n_tstar, errors, estimates, warnings=None):
+    """Each row's first StatError, or else its TestReport: ``statistic[r]``
+    and its chi-square tail on ``df`` degrees of freedom, ``n_tstar[r]``,
+    ``estimates(r)`` and ``warnings[r]``."""
+    return [e or TestReport(test, s, df, chi2_sf(s, df), int(n_tstar[r]), estimates(r),
+                            [] if warnings is None else list(warnings[r]))
+            for r, (e, s) in enumerate(zip(errors, statistic.tolist()))]
 
 
 def first(rows):

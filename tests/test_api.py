@@ -1,6 +1,6 @@
 """The public API is what the README documents.
 
-Eight contracts, checked on the source text, and three run:
+Nine contracts, checked on the source text, and three run:
 - every name the package root exports appears in README.md;
 - every name the README's code blocks or the demos import from
   ``barlineage`` is exported by the root;
@@ -14,6 +14,8 @@ Eight contracts, checked on the source text, and three run:
   ``cli._Parser.error``;
 - only ``Forest.of`` builds a Forest: no code of the package calls
   ``Forest(...)``, or ``._replace`` or ``._make`` on one;
+- only ``report.py`` builds a TestReport: no other module calls
+  ``TestReport(...)`` or ``chi2_sf(...)``;
 - the README lists exactly the keys ``mc --config`` reads;
 - importing the package and its CLI leaves ``numpy.random`` and the
   process pool unloaded.
@@ -185,12 +187,21 @@ def test_unread_method_is_found():
     assert unread_methods([module], [module, reader], "Call `tree.documented()`.") == {"spare"}
 
 
+def calls(source: str, names) -> list[int]:
+    """The lines of ``source`` that call one of ``names``, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
+
+
 def forest_builds(source: str) -> list[int]:
     """The lines of ``source`` that call ``Forest``, ``._replace`` or ``._make``:
     ``Forest.of`` builds its forest as ``cls(...)``."""
-    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None))
-            in ("Forest", "_replace", "_make")]
+    return calls(source, ("Forest", "_replace", "_make"))
+
+
+def report_builds(source: str) -> list[int]:
+    """The lines of ``source`` that call ``TestReport`` or ``chi2_sf``."""
+    return calls(source, ("TestReport", "chi2_sf"))
 
 
 def test_only_forest_of_builds_a_forest():
@@ -204,6 +215,20 @@ def test_forest_build_is_found():
     source = ("f = Forest.of(trees)\ng = tree.Forest(*f)\nh = f._replace(x=None)\n"
               "k = Forest._make(f)\nForest(1, 2)\n")
     assert forest_builds(source) == [2, 3, 4, 5]
+
+
+def test_only_report_builds_a_report():
+    # a second report builder would have to keep the p-value, the report's
+    # fields and their order in step with report.outcomes'
+    for path in sorted((ROOT / "src" / "barlineage").glob("*.py")):
+        if path.name != "report.py":
+            assert report_builds(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_report_build_is_found():
+    source = ("r = TestReport('gw_mean', 1.0, 1, 0.3, 9)\np = numerics.chi2_sf(1.0, 1)\n"
+              "q = chi2_sf\n")
+    assert report_builds(source) == [1, 2]
 
 
 def test_readme_lists_the_config_keys():

@@ -292,7 +292,10 @@ class TestIngest:
     def test_matches_line_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(text)
-        assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+        try:
+            assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+        finally:
+            path.unlink()  # rewriting a file that holds data is slow on some disks
 
     @settings(max_examples=100, deadline=None)
     @given(text=lineage_texts(below_header=False))
@@ -300,7 +303,10 @@ class TestIngest:
         # no comment or blank line below the header, so most rows reach np.loadtxt
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(text)
-        assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+        try:
+            assert _outcome(ingest, path) == _outcome(brute_ingest, path)
+        finally:
+            path.unlink()
 
 
 class TestBulkRead:
@@ -573,6 +579,45 @@ class TestEstimate:
         assert out["bar"]["error"] == "SingularDesign"
 
 
+_BAR_PARAMETERS = {
+    "a": 1.6474342193532578, "b": 0.2521996573253169, "c": 1.1572583891788106,
+    "d": 0.2996889455714591, "sigma2": 0.5627110612622549, "rho": 0.281398152646874}
+_PHAT = [0.0, 0.0, 0.2222222222222222, 0.7777777777777778,
+         0.1111111111111111, 0.0, 0.1111111111111111, 0.7777777777777778]
+_ZHAT = [0.47368421052631576, 0.47368421052631576]
+# stdout of each command on simulate_fixture's lineage (depth 7, seed 4), read
+# as json.dumps(..., indent=2) prints it: every key, its place and each digit
+ONE_TREE_JSON = {
+    "gw": {
+        "test": "gw_mean", "statistic": 0.17999999999999944, "df": 1,
+        "p_value": 0.671373240540873, "n_Tstar": 19,
+        "estimates": {"m_hat": 0.11111111111111094, "variance": 1.3031550068587108,
+                      "phat": _PHAT, "zhat": _ZHAT, "mother_counts": [9, 9]},
+        "warnings": []},
+    "coeff": {
+        "test": "coefficient", "statistic": 3.8418127698609736, "df": 2,
+        "p_value": 0.14647413999225609, "n_Tstar": 19,
+        "estimates": {**_BAR_PARAMETERS, "diff": [0.4901758301744472, -0.04748928824614218]},
+        "warnings": []},
+    "fixed": {
+        "test": "fixed_point", "statistic": 2.387335780018585, "df": 1,
+        "p_value": 0.1223219384761866, "n_Tstar": 19,
+        "estimates": {**_BAR_PARAMETERS, "fixed_point_even": 2.203040203834119,
+                      "fixed_point_odd": 1.6524919631936157, "diff": 0.5505482406405033,
+                      "variance": 2.4122974188950854},
+        "warnings": []},
+    "estimate": {
+        "depth": 7, "n_observed": 33,
+        "gw": {"phat": _PHAT, "mother_counts": [9, 9], "zhat": _ZHAT},
+        "bar": {**_BAR_PARAMETERS, "cov": [
+            [8.07296380437916, -3.4876696215023957, 3.259949948092812, -1.4713462599000893],
+            [-3.4876696215023957, 1.6526514549807088, -1.4862511038587742, 0.7357048108706459],
+            [3.259949948092812, -1.4862511038587742, 8.566880970394347, -3.7916416169003027],
+            [-1.4713462599000893, 0.7357048108706459, -3.7916416169003027, 1.8111114897671399]],
+            "warnings": []}},
+}
+
+
 class TestTestCommand:
     @pytest.mark.parametrize("which,name,df", [
         ("gw", "gw_mean", 1),
@@ -588,6 +633,13 @@ class TestTestCommand:
         assert 0.0 <= out["p_value"] <= 1.0
         assert out["statistic"] >= 0.0
         assert "n_Tstar" in out
+
+    @pytest.mark.parametrize("which", sorted(ONE_TREE_JSON))
+    def test_one_tree_json_is_pinned(self, tmp_path, capsys, which):
+        path = str(simulate_fixture(tmp_path))
+        argv = ["estimate", path] if which == "estimate" else ["test", path, "--which", which]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == json.dumps(ONE_TREE_JSON[which], indent=2) + "\n"
 
     def test_singular_design_exits_2(self, tmp_path, capsys):
         # one mother of record only: the design matrix is singular

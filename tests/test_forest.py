@@ -280,3 +280,19 @@ def test_rows_beside_a_depth_30_tree_are_their_own():
                        simulated(7, 2), (tree, values), simulated(5, 3)])
     for which in TESTS:  # the deep tree's own fit is a p-value, not a StatError
         assert 0 <= run_test(which, tree, values).p_value <= 1
+
+
+@pytest.mark.parametrize("fit", [
+    lambda lineage: estimate_bar(None, lineage),
+    lambda lineage: sufficient_stats(None, lineage),
+    lambda lineage: residual_noise_estimates(None, lineage, (0.1, 0.5, 0.2, 0.4)),
+    lambda lineage: run_test("coefficient", lineage),
+    lambda lineage: run_test("fixed_point", lineage),
+], ids=["estimate_bar", "sufficient_stats", "residual_noise_estimates", "coefficient",
+        "fixed_point"])
+@pytest.mark.parametrize("forest", [False, True], ids=["tree", "forest"])
+def test_a_bar_fit_without_traits_says_so(fit, forest):
+    # a tree with its values None, or a forest built without values
+    tree = simulated(5, 1)[0]
+    with pytest.raises(ValueError, match="the BAR fit needs trait values"):
+        fit(Forest.of([tree]) if forest else tree)
