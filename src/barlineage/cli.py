@@ -189,6 +189,14 @@ def _write_out(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with its quotes doubled, only when
+    it holds a comma, a quote or a line break (RFC 4180)."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _cmd_batch(args) -> int:
     """Read every file as it comes; fit the usable ones together, in stacks
     (``tree.fitted``), and report each file in order after its fit."""
@@ -214,7 +222,8 @@ def _cmd_batch(args) -> int:
     for (path, note), row in fitted(lambda forest: mc.run_test(name, forest), lineages()):
         if row is not None:  # a fitted file: a p-value, or nan and its StatError
             note = str(row) if isinstance(row, StatError) else None
-            lines.append(f"{path.name},{name},{'nan' if note else f'{row.p_value:.17g}'}")
+            p_value = "nan" if note else f"{row.p_value:.17g}"
+            lines.append(f"{_csv_field(path.name)},{name},{p_value}")
         if note:
             print(f"{path}: {note}", file=sys.stderr)
     _write_out("\n".join(lines) + "\n", args.out)

@@ -270,7 +270,9 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
     whenever n_used <= 1000 (rounding error below half a count), which
     covers the published experiments.  Input that cannot be read raises
     ValueError naming the first row (or cell) it cannot read; so does a
-    table with no rows.
+    table with no rows, and a row emit_table never writes: a generation
+    outside 1..MAX_DEPTH, a hypothesis other than H0 and H1, or a
+    threshold outside (0, 1).
     """
     if fmt == "json":
         rows = json.loads(text)
@@ -297,6 +299,11 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
                 if fmt == "json" and not (type(v) is kind or kind is float and type(v) is int):
                     raise ValueError(f"{kind.__name__} column {c} holds {json.dumps(v)}")
             r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
+            # each row's own value, by its McConfig field's rule: a repeated threshold passes
+            check_field("generations", (r["generation"],))
+            check_field("thresholds", (r["threshold"],))
+            if r["hypothesis"] not in _HYP_CODE:
+                raise ValueError(f"hypothesis {r['hypothesis']!r} is not one of {tuple(_HYP_CODE)}")
             if not 0.0 <= r["rejection_pct"] <= 100.0:  # nan too
                 raise ValueError(f"rejection_pct {r['rejection_pct']} is not in [0, 100]")
             if min(r[c] for c in _COUNTS) < 0:

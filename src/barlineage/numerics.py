@@ -9,8 +9,8 @@ ziggurat ``standard_normal`` on that stream.  This triple (Philox,
 splitmix64 keying, ziggurat normals) is the reproducibility contract:
 replica results are bit-identical across runs and worker counts.  A
 Monte Carlo span (``run_replica`` is a span of one) draws each replica
-from its own stream, as one generator per thread reset to each replica's
-key in turn (``span_streams``), which then reads exactly
+from its own stream, as one generator of the span's own reset to each
+replica's key in turn (``span_streams``), which then reads exactly
 ``replica_stream``'s stream; ``replica_stream`` still returns a fresh one.
 
 Stream layout of one Monte Carlo replica of depth n: first 2^n - 1
@@ -24,7 +24,6 @@ this layout changes every table.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -58,16 +57,11 @@ def replica_stream(master_seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_shared = threading.local()  # .generator: built on first use, not at import
-
-
 def span_streams(master_seed: int, prefix, ids):
-    """This thread's one generator, reset for each i of ``ids`` in turn to read
-    exactly the stream of ``replica_stream(master_seed, *prefix, i)`` until the
-    next i: the prefix is folded once, then each i takes one splitmix64 step."""
-    generator = getattr(_shared, "generator", None)
-    if generator is None:  # once: Philox() reads OS entropy for a seed it never uses
-        generator = _shared.generator = np.random.Generator(np.random.Philox())
+    """One generator of this call's own, reset for each i of ``ids`` in turn to
+    read exactly the stream of ``replica_stream(master_seed, *prefix, i)`` until
+    the next i: the prefix is folded once, then each i takes one splitmix64 step."""
+    generator = np.random.Generator(np.random.Philox())  # its entropy seed: reset before use
     k0, acc = _stream_key(master_seed, prefix)
     for i in ids:
         # a fresh Philox(key=...): counter 0, empty buffer, no spare uint32
@@ -108,11 +102,8 @@ def gaussian_pair(sigma2: float, rho: float, g1: np.ndarray, g2: np.ndarray):
     Fixed transform of two standard-normal arrays g1, g2 (g1 drawn first):
         e0 = sigma * g1
         e1 = (rho / sigma) * g1 + sqrt(sigma2 - rho**2 / sigma2) * g2
+    Needs sigma2 > 0 and |rho| <= sigma2, which its caller's BarModel checks.
     """
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    if abs(rho) > sigma2:
-        raise ValueError(f"|rho| = {abs(rho)} exceeds sigma2 = {sigma2}")
     sigma = math.sqrt(sigma2)
     resid = math.sqrt(max(sigma2 - rho * rho / sigma2, 0.0))
     e0 = sigma * g1

@@ -134,7 +134,6 @@ class ObservationTree:
     def from_indices(cls, depth: int, observed) -> "ObservationTree":
         """The tree of the given labels, in any order; repeats count once.
         A label that is not an integer raises ValueError."""
-        check_depth(depth)
         labels = np.sort(observed if isinstance(observed, np.ndarray) else list(observed))
         first = np.ones(labels.size, dtype=bool)  # a repeat is not the first of its run
         first[1:] = labels[1:] != labels[:-1]

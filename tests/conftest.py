@@ -4,12 +4,9 @@ The brute-force functions below deliberately use plain Python loops and
 per-cell index arithmetic (2k, 2k+1, k // 2) so they share no code path
 with the vectorized library implementations they are checked against.
 They read a tree through its dense view: presence bits and traits over
-all 2^(depth+1) labels.
-
-The dense_* functions are the earlier array implementation, which kept
-every tree as such dense arrays, with each sum taken left to right as
-the library's per-row sums are; the label-based library must agree
-with them bit for bit.  The lapack_* functions are the BAR fit and
+all 2^(depth+1) labels.  Each of their sums runs over the cells in label
+order, as the library's per-row sums do, so the library must agree with
+them bit for bit.  The lapack_* functions are the BAR fit and
 coefficient test as they were before the 2x2 closed forms: an SVD
 condition number and LAPACK inverses.
 """
@@ -53,6 +50,15 @@ def dense_x(values):
     for k, v in zip(values.labels.tolist(), values.x.tolist()):
         x[k] = v
     return x
+
+
+def dense_reflect(arr, depth):
+    """A dense array of the mirrored tree: each generation's slice reversed."""
+    out = np.empty_like(arr)
+    out[0] = arr[0]
+    for g in range(depth + 1):
+        out[2 ** g : 2 ** (g + 1)] = arr[2 ** g : 2 ** (g + 1)][::-1]
+    return out
 
 
 def tree_of(depth, delta):
@@ -125,22 +131,25 @@ def brute_sufficient_stats(values, tree):
 
 
 def brute_noise(values, tree, theta):
-    """Residual variance / sister covariance by explicit loops."""
+    """Residual variance / sister covariance by explicit loops: each
+    daughter type's squares summed on its own, cross products over the
+    observed sister pairs only."""
     a, b, c, d = theta
     n, delta, x = tree.depth, dense_delta(tree), dense_x(values)
-    sum_sq = 0.0
+    sum_sq = [0.0, 0.0]
     sum_cross = 0.0
     n_pairs = 0
     n_tn = sum(int(delta[k]) for k in range(1, 2 ** (n + 1)))
     for k in range(1, 2 ** n):
         e0 = delta[2 * k] * (x[2 * k] - a - b * x[k])
         e1 = delta[2 * k + 1] * (x[2 * k + 1] - c - d * x[k])
-        sum_sq += e0 * e0 + e1 * e1
-        sum_cross += e0 * e1
+        sum_sq[0] += e0 * e0
+        sum_sq[1] += e1 * e1
         if delta[2 * k] and delta[2 * k + 1]:
+            sum_cross += e0 * e1
             n_pairs += 1
     rho = sum_cross / n_pairs if n_pairs else 0.0
-    return sum_sq / n_tn, rho, n_pairs
+    return (sum_sq[0] + sum_sq[1]) / n_tn, rho, n_pairs
 
 
 def brute_sandwich(s0, s1, s01, t_star, sigma2, rho):
@@ -196,86 +205,6 @@ def lapack_coefficient_statistic(est):
         raise DegenerateVariance(f"eigenvalues {eigs}")
     diff = est.theta[:2] - est.theta[2:]
     return float(est.counts[0] * diff @ np.linalg.inv(delta_c) @ diff)
-
-
-# ------------------------------------------- the earlier dense arrays
-
-def dense_tree(depth, delta):
-    """(labels, sister-pair mothers, (z, g_star, t_star, t01)) read off
-    presence bits, as the dense tree found them at construction."""
-    n = depth
-    labels = np.flatnonzero(delta[1:]) + 1
-    gen = np.frexp(labels)[1] - 1
-    first = labels[:-1]
-    pair = ((first & 1) == 0) & (labels[1:] == first + 1)
-    z = np.bincount(2 * gen + (labels & 1), minlength=2 * (n + 1)).reshape(n + 1, 2)
-    t01 = np.cumsum(np.bincount(gen[:-1][pair] - 1, minlength=n + 1))
-    g_star = z.sum(axis=1)
-    return labels, first[pair] >> 1, (z, g_star, np.cumsum(g_star), t01)
-
-
-def dense_reproduction(depth, delta):
-    """(phat, mother counts, zhat, t_star), each mother's outcome code
-    read off the presence bits of her daughters."""
-    n = depth
-    labels, _, (z, _, t_star, _) = dense_tree(depth, delta)
-    m = labels[1 : np.searchsorted(labels, 1 << n)]
-    code = 4 * (m & 1) + delta[2 * m] + 2 * delta[2 * m + 1]
-    block = np.bincount(code, minlength=8).reshape(2, 4)
-    counts = block.sum(axis=1)
-    phat = (block / np.maximum(counts, 1)[:, None]).ravel()
-    t = int(t_star[n - 1])
-    zsum = z[1:n].sum(axis=0)
-    return phat, (int(counts[0]), int(counts[1])), (zsum[0] / t, zsum[1] / t), t
-
-
-def _dense_daughters(labels, x):
-    kids = labels[1:]
-    odd = (kids & 1).astype(bool)
-    return [(x[k >> 1], x[k]) for k in (kids[~odd], kids[odd])]
-
-
-def _dense_sum(a):
-    """The left-to-right sum, the order of the library's per-row sums."""
-    return np.cumsum(a)[-1] if a.size else 0.0
-
-
-def _dense_moment(xm):
-    sx, sxx = _dense_sum(xm), _dense_sum(xm * xm)
-    return np.array([[xm.size, sx], [sx, sxx]], dtype=float)
-
-
-def dense_sufficient_stats(depth, delta, x):
-    """(s0, s1, s01, rhs, counts) gathered from traits of every label."""
-    labels, pair_mothers, (_, _, t_star, t01) = dense_tree(depth, delta)
-    (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
-    rhs = np.array([_dense_sum(x0), _dense_sum(xm0 * x0), _dense_sum(x1), _dense_sum(xm1 * x1)])
-    counts = (int(t_star[depth - 1]), int(t01[depth - 1]), int(t_star[depth]))
-    both = _dense_moment(x[pair_mothers])
-    return _dense_moment(xm0), _dense_moment(xm1), both, rhs, counts
-
-
-def dense_noise(depth, delta, x, theta):
-    """(sigma2_hat, rho_hat) from traits of every label; rho_hat is 0.0
-    when no sister pair is observed."""
-    a, b, c, d = np.asarray(theta, dtype=float)
-    labels, m, (_, _, t_star, t01) = dense_tree(depth, delta)
-    (xm0, x0), (xm1, x1) = _dense_daughters(labels, x)
-    e0, e1 = x0 - a - b * xm0, x1 - c - d * xm1
-    sigma2 = float(_dense_sum(e0 * e0) + _dense_sum(e1 * e1)) / int(t_star[depth])
-    if t01[depth - 1] == 0:
-        return sigma2, 0.0
-    cross = (x[2 * m] - a - b * x[m]) * (x[2 * m + 1] - c - d * x[m])
-    return sigma2, float(_dense_sum(cross)) / int(t01[depth - 1])
-
-
-def dense_reflect(arr, depth):
-    """A dense array of the mirrored tree: each generation's slice reversed."""
-    out = np.empty_like(arr)
-    out[0] = arr[0]
-    for g in range(depth + 1):
-        out[2 ** g : 2 ** (g + 1)] = arr[2 ** g : 2 ** (g + 1)][::-1]
-    return out
 
 
 def brute_simulate_observation_tree(model, depth, rng):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -810,6 +811,20 @@ class TestBatch:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == ["cancel.csv,fixed_point,nan"]
         assert "singular" in captured.err
+
+    def test_file_names_are_quoted_where_csv_needs_it(self, tmp_path):
+        names = ["a,b.csv", 'say "hi".csv', "two\nlines.csv", "cr\rlf.csv", "plain.csv"]
+        for seed, name in enumerate(names):
+            simulate_fixture(tmp_path, name, seed=seed)
+        out = tmp_path / "out" / "report.csv"
+        out.parent.mkdir()
+        assert main(["batch", str(tmp_path), "--which", "fixed", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["file", "test", "p_value"]
+        assert all(len(r) == 3 for r in rows)
+        assert [r[0] for r in rows[1:]] == sorted(names)
+        assert "\nplain.csv,fixed_point," in out.read_text(encoding="utf-8")  # written as is
 
     def test_out_file(self, tmp_path):
         simulate_fixture(tmp_path, "a.csv")

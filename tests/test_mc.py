@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -190,7 +191,7 @@ class TestRunReplica:
         assert seen == {False, True}
 
     def test_threads_keep_their_own_streams(self):
-        # each replica re-keys its thread's one generator; threads switched
+        # each replica re-keys its span's own generator; threads switched
         # every microsecond must still give the serial outcomes
         cfg = table_config(3, master_seed=9)
         jobs = [range(r, 120, 4) for r in range(4)]
@@ -446,6 +447,25 @@ class TestEmitParse:
     def test_parse_rejects_unreadable_json(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text, fmt="json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column,value,match", [
+        *(("threshold", t, "thresholds: must be") for t in (math.nan, math.inf, 1.5, -0.2)),
+        ("hypothesis", "H2", r"hypothesis 'H2' is not one of \('H0', 'H1'\)"),
+        ("generation", 0, r"generations: must be .* within 1\.\.30"),
+        ("generation", 31, r"generations: must be .* within 1\.\.30"),
+    ], ids=["nan-threshold", "inf-threshold", "threshold-over-1", "negative-threshold",
+            "unknown-hypothesis", "generation-0", "generation-past-max-depth"])
+    def test_parse_rejects_a_row_emit_table_never_writes(self, fmt, column, value, match):
+        rows = json.loads(emit_table(toy_table(), fmt="json"))
+        rows[2][column] = value
+        if fmt == "json":
+            text, name = json.dumps(rows), json.dumps(rows[2])
+        else:
+            lines = [",".join(map(str, r.values())) for r in rows]
+            text, name = "\n".join([mc._CSV_HEADER, *lines]), lines[2]
+        with pytest.raises(ValueError, match=re.escape(f"table row {name!r}: ") + match):
+            parse_table(text, fmt=fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_parse_names_the_row_of_an_overflowing_count(self, fmt):

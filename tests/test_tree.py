@@ -21,12 +21,11 @@ from barlineage.tree import Forest, as_labels, generation
 
 from conftest import (
     brute_counts,
+    brute_noise,
+    brute_reproduction,
+    brute_sufficient_stats,
     dense_delta,
-    dense_noise,
     dense_reflect,
-    dense_reproduction,
-    dense_sufficient_stats,
-    dense_tree,
     observation_trees,
     presence_arrays,
     random_tree,
@@ -225,7 +224,8 @@ class TestReflection:
 
 
 class TestDenseOracle:
-    """Labels, counts, estimators and reflection against the dense arrays."""
+    """Labels, counts, estimators and reflection against the brute-force
+    loops over the presence bits, byte for byte."""
 
     @settings(max_examples=150, deadline=None)
     @given(presence_arrays(), st.integers(0, 2 ** 32 - 1))
@@ -235,35 +235,40 @@ class TestDenseOracle:
         x = np.concatenate([[0.0], rng.normal(size=delta.size - 1)])
         theta = rng.normal(size=4)
         tree = tree_of(depth, delta)
-        labels, pair_mothers, counts = dense_tree(depth, delta)
+        labels = np.array([k for k in range(1, delta.size) if delta[k]], dtype=np.int64)
+        pair_mothers = [k for k in range(1, 2 ** depth) if delta[2 * k] and delta[2 * k + 1]]
         assert tree.observed_indices().tobytes() == labels.tobytes()
-        assert (labels[Forest.of([tree]).pairs] >> 1).tobytes() == pair_mothers.tobytes()
-        z, g_star, t_star, t01 = counts
-        assert tree.counts().g_star.tobytes() == g_star.tobytes()
-        row = np.array([[t_star[depth - 1], t01[depth - 1], t_star[depth], *z[depth], depth]])
-        assert Forest.of([tree]).counts.tobytes() == row.tobytes()
+        assert (labels[Forest.of([tree]).pairs] >> 1).tolist() == pair_mothers
+        z, t01 = brute_counts(tree)
+        assert tree.counts().g_star.tolist() == [sum(r) for r in z]
+        assert Forest.of([tree]).counts.tolist() == [row_counts(z, t01)]
 
         if depth >= 2:
             rep = estimate_reproduction(tree)
-            phat, mothers, zhat, t_star = dense_reproduction(depth, delta)
+            phat, mothers = brute_reproduction(tree)
+            t_star = sum(sum(r) for r in z[:depth])
+            zhat = tuple(sum(r[i] for r in z[1:depth]) / t_star for i in (0, 1))
             assert rep.phat.tobytes() == phat.tobytes()
-            assert (rep.mother_counts, rep.zhat, rep.t_star) == (mothers, zhat, t_star)
+            assert (rep.mother_counts, rep.t_star) == (tuple(mothers), t_star)
+            assert np.array(rep.zhat).tobytes() == np.array(zhat).tobytes()
         else:
             with pytest.raises(InsufficientData):
                 estimate_reproduction(tree)
 
         every = np.arange(1, delta.size)
-        s0, s1, s01, rhs, cnt = dense_sufficient_stats(depth, delta, x)
-        sigma2, rho = dense_noise(depth, delta, x, theta)
+        dense = ValueTree(depth, x)
+        sums = brute_sufficient_stats(dense, tree)
+        sigma2, rho, _ = brute_noise(dense, tree, theta)
         # the simulator's full draw, a file's cells, and a superset of them
-        for values in (ValueTree(depth, x), ValueTree(depth, x[labels], tree.labels),
+        for values in (dense, ValueTree(depth, x[labels], tree.labels),
                        ValueTree(depth, x[1:], every)):
             s = sufficient_stats(values, tree)
-            for got, want in zip((s.s0, s.s1, s.s01, s.rhs), (s0, s1, s01, rhs)):
+            for got, want in zip((s.s0, s.s1, s.s01, s.rhs), sums):
                 assert got.tobytes() == want.tobytes()
-            assert s.counts == cnt
+            assert list(s.counts) == row_counts(z, t01)[:3]
             noise = residual_noise_estimates(values, tree, theta)
-            assert (noise.sigma2_hat, noise.rho_hat) == (sigma2, rho)
+            assert (np.array([noise.sigma2_hat, noise.rho_hat]).tobytes()
+                    == np.array([sigma2, rho]).tobytes())
 
         ref = tree.reflect()
         ref_delta = dense_reflect(delta, depth)
