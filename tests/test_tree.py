@@ -236,12 +236,15 @@ class TestDenseOracle:
         theta = rng.normal(size=4)
         tree = tree_of(depth, delta)
         labels = np.array([k for k in range(1, delta.size) if delta[k]], dtype=np.int64)
-        pair_mothers = [k for k in range(1, 2 ** depth) if delta[2 * k] and delta[2 * k + 1]]
+        pair_mothers = np.array([k for k in range(1, 2 ** depth)
+                                 if delta[2 * k] and delta[2 * k + 1]], dtype=np.int64)
         assert tree.observed_indices().tobytes() == labels.tobytes()
-        assert (labels[Forest.of([tree]).pairs] >> 1).tolist() == pair_mothers
+        assert (labels[Forest.of([tree]).pairs] >> 1).tobytes() == pair_mothers.tobytes()
         z, t01 = brute_counts(tree)
-        assert tree.counts().g_star.tolist() == [sum(r) for r in z]
-        assert Forest.of([tree]).counts.tolist() == [row_counts(z, t01)]
+        g_star = np.array([sum(r) for r in z], dtype=np.int64)
+        assert tree.counts().g_star.tobytes() == g_star.tobytes()
+        row = np.array([row_counts(z, t01)], dtype=np.int64)
+        assert Forest.of([tree]).counts.tobytes() == row.tobytes()
 
         if depth >= 2:
             rep = estimate_reproduction(tree)
