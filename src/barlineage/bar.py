@@ -13,6 +13,8 @@ c/(1-d).  Each estimator fits every row of a Forest at once, under its
 own ``np.errstate``: its results carry a leading row axis, and a row that
 fails a check keeps its StatError, without a numpy warning.  One (values,
 tree) pair is fitted as its one-row forest: row 0, or its StatError raised.
+Simulation likewise runs the recursion once per generation over a block of
+full trees, each drawn from its own stream; one tree is a block of one.
 """
 
 from __future__ import annotations
@@ -124,30 +126,38 @@ class ValueTree:
 def simulate_bar_values(
     model: BarModel, depth: int, x1: float, rng: np.random.Generator
 ) -> ValueTree:
-    """Iterate the recursion on the FULL tree (missingness is applied later).
-
-    One draw fills x[2:] with every normal of the tree: generation g's
-    2 * 2^g normals (g1, then g2) land on its daughters' slots
-    x[2^(g+1) : 2^(g+2)], which the generation turns into its sisters'
-    noise and then overwrites with their traits.
-    """
+    """Iterate the recursion on the FULL tree (missingness is applied later),
+    as a block of one."""
     check_depth(depth)
-    x = np.zeros(1 << (depth + 1))
-    x[1] = x1
-    noisy = model.sigma2 > 0
-    if noisy:
-        rng.standard_normal(out=x[2:])
-    for g in range(depth):
+    x = np.zeros((1, 1 << (depth + 1)))
+    draw_normals(model, x[0], rng)
+    return ValueTree(depth, simulate_bar_block(model, x1, x)[0])
+
+
+def draw_normals(model: BarModel, row: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``row[2:]`` with every normal of one full tree in one draw (none at sigma2 = 0)."""
+    if model.sigma2 > 0:
+        rng.standard_normal(out=row[2:])
+
+
+def simulate_bar_block(model: BarModel, x1: float, x: np.ndarray) -> np.ndarray:
+    """Iterate the recursion in place on the FULL tree of each row of the
+    (R, 2^(n+1)) block ``x``, root ``x1``, and return it.  Row j holds its
+    tree's normals (``draw_normals``): generation g's 2 * 2^g normals (g1,
+    then g2) sit on its daughters' slots 2^(g+1) .. 2^(g+2) - 1, which one
+    pass over all rows turns into noise, then traits.  A trait that is not
+    finite raises ValueError."""
+    x[:, 1] = x1
+    for g in range(x.shape[1].bit_length() - 2):
         size = 1 << g
-        mothers, daughters = x[size : 2 * size], x[2 * size : 4 * size]
-        if noisy:
-            e0, e1 = gaussian_pair(model.sigma2, model.rho, daughters[:size], daughters[size:])
-        else:
-            e0 = e1 = 0.0
-        sisters = daughters.reshape(size, 2)
-        sisters[:, 0] = model.a + model.b * mothers + e0
-        sisters[:, 1] = model.c + model.d * mothers + e1
-    return ValueTree(depth, x)
+        mothers, daughters = x[:, size : 2 * size], x[:, 2 * size : 4 * size]
+        e0, e1 = (gaussian_pair(model.sigma2, model.rho, daughters[:, :size], daughters[:, size:])
+                  if model.sigma2 > 0 else (0.0, 0.0))
+        daughters[:, 0::2] = model.a + model.b * mothers + e0
+        daughters[:, 1::2] = model.c + model.d * mothers + e1
+    if not np.isfinite(x[:, 1:]).all():
+        raise ValueError("trait values must be finite")
+    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -224,8 +224,9 @@ def _cmd_batch(args) -> int:
             note = str(row) if isinstance(row, StatError) else None
             p_value = "nan" if note else f"{row.p_value:.17g}"
             lines.append(f"{_csv_field(path.name)},{name},{p_value}")
-        if note:
-            print(f"{path}: {note}", file=sys.stderr)
+        if note:  # one line, whatever the name holds: what does not print is escaped
+            print("".join(c if c.isprintable() else repr(c)[1:-1] for c in f"{path}: {note}"),
+                  file=sys.stderr)
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

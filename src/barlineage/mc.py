@@ -9,8 +9,10 @@ is undefined (degenerate) are removed from the denominator and counted.
 Every replica owns the stream keyed by (master_seed, hypothesis,
 generation, replica_id), so tables are bit-identical across runs and
 across worker counts.  A span of a cell's replicas draws each from its
-own stream and fits the survivors in stacks of at most
-``tree.STACK_CELLS`` cells; ``run_replica`` is a span of one.
+own stream, in the layout ``numerics`` states; it runs the BAR recursion
+over its survivors' traits in blocks of at most ``BLOCK_CELLS`` cells,
+and fits the survivors in stacks of at most ``tree.STACK_CELLS`` cells;
+``run_replica`` is a span of one.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ P1_LAW = gw.ReproductionLaw(0.15, 0.08, 0.08, 0.69)
 # noise unstated); configuration values, override freely.
 DEFAULT_SIGMA2 = 1.0
 DEFAULT_RHO = 0.5
+
+# cells of the full trees whose traits a span draws as one block (a deeper tree
+# is drawn alone): one pass of the recursion per generation over all its rows
+BLOCK_CELLS = 1 << 14
 
 
 def _is_int(v) -> bool:
@@ -147,14 +153,33 @@ def _span(config, hypothesis, generation, lo, hi):
             tree = gw.simulate_observation_tree(gw_model, generation, rng)
             if tree.labels[-1] < 1 << generation:  # no orphans: generation n is empty if any is
                 yield EXTINCT, None, None
-                continue
-            values = None if which == "gw_mean" else bar.simulate_bar_values(
-                model, generation, model.fixed_point_odd, rng)
-            yield None, tree, values
+            else:  # a BAR survivor's normals are drawn before the next replica's tree
+                yield None, tree, None if which == "gw_mean" else rng
 
-    rows = fitted(lambda forest: run_test(which, forest), replicas())
+    lineages = replicas() if which == "gw_mean" else _in_blocks(model, generation, replicas())
+    rows = fitted(lambda forest: run_test(which, forest), lineages)
     return [tag or (DEGENERATE if isinstance(row, StatError) else row.p_value)
             for tag, row in rows]
+
+
+def _in_blocks(model, generation, lineages):
+    """(tag, tree, traits) for each (tag, tree, rng) of the generator ``lineages``,
+    in order: a survivor's normals fill the next row of a block as it comes, and
+    its observed traits go on once the block's recursion has run and it is freed."""
+    rows = n = max(1, BLOCK_CELLS >> (generation + 1))
+    while n == rows:  # the last block was filled: the lineages may go on
+        block, held, n = np.empty((rows, 2 << generation)), [], 0
+        for tag, tree, rng in lineages:
+            held.append((tag, tree, n))
+            if tree is not None:
+                bar.draw_normals(model, block[n], rng)
+                n += 1
+                if n == rows:
+                    break
+        block = bar.simulate_bar_block(model, model.fixed_point_odd, block[:n])
+        held = [(tag, tree, tree and block[j, tree.labels]) for tag, tree, j in held]
+        del block
+        yield from held
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ Stream layout of one Monte Carlo replica of depth n: first 2^n - 1
 uniforms, one per mother slot 1 .. 2^n - 1 in label order (the GW tree,
 drawn even for unobserved mothers); then, for the trait tests, 2 * 2^g
 normals per generation g = 0 .. n-1, the g1 block of that generation's
-mothers followed by its g2 block (see ``gaussian_pair``).  Changing
-this layout changes every table.
+mothers followed by its g2 block (see ``gaussian_pair``).  A span reads
+a survivor's normals into its row of a trait block before the next
+replica's uniforms, so blocks leave the layout as it is.  Changing this
+layout changes every table.
 """
 
 from __future__ import annotations

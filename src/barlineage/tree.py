@@ -222,7 +222,7 @@ def fitted(fit, lineages):
     """(tag, row) for each (tag, tree, values) of ``lineages``, in order: the
     tree's row of ``fit`` run on a Forest, or None for a tree None.  Consecutive
     trees share a Forest of at most STACK_CELLS cells (a larger tree is fitted
-    alone); a tree waiting for its fit keeps only its labels and observed traits."""
+    alone); ``values``, as ``Forest.of`` takes them, wait with their tree."""
     tags, trees, traits, cells = [], [], [], 0
 
     def fit_stack():
@@ -240,6 +240,6 @@ def fitted(fit, lineages):
                 cells = 0
             cells += tree.labels.size
             trees.append(tree)
-            traits.append(None if values is None else values.observed(tree))
+            traits.append(values)
         tags.append((tag, tree is not None))
     yield from fit_stack()

@@ -23,7 +23,7 @@ from barlineage import (
     simulate_observation_tree,
     sufficient_stats,
 )
-from barlineage.bar import BarEstimate, SufficientStats
+from barlineage.bar import BarEstimate, SufficientStats, draw_normals, simulate_bar_block
 from barlineage.errors import (
     DegenerateVariance,
     DepthError,
@@ -147,6 +147,27 @@ class TestSimulateBarValues:
         x = brute_simulate_bar_values(model, depth, 1.3, brute)
         assert v.x.tobytes() == x.tobytes()
         assert ours.random() == brute.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        depth=st.integers(1, 12),
+        sigma2=st.sampled_from([0.0]) | st.floats(0.01, 10.0),
+        rho_frac=st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_block_rows_are_single_draws(self, rows, depth, sigma2, rho_frac, seed):
+        # row j of a block, drawn from stream j and put through one recursion
+        # over all rows, is that stream's tree drawn alone, bit for bit
+        model = BarModel(0.4, 0.3, -0.7, 0.6, sigma2, rho_frac * sigma2)
+        block = np.zeros((rows, 2 << depth))
+        for j in range(rows):
+            draw_normals(model, block[j], replica_stream(seed, j))
+        simulate_bar_block(model, 1.3, block)
+        for j in range(rows):
+            alone = simulate_bar_values(model, depth, 1.3, replica_stream(seed, j))
+            brute = brute_simulate_bar_values(model, depth, 1.3, replica_stream(seed, j))
+            assert block[j].tobytes() == alone.x.tobytes() == brute.tobytes()
 
     @pytest.mark.slow
     def test_mean_converges_to_fixed_point(self):

@@ -826,6 +826,12 @@ class TestBatch:
         assert [r[0] for r in rows[1:]] == sorted(names)
         assert "\nplain.csv,fixed_point," in out.read_text(encoding="utf-8")  # written as is
 
+    def test_a_name_with_a_line_break_keeps_its_note_on_one_line(self, tmp_path, capsys):
+        write(tmp_path, "index,value\n2,0.0\n", name="bad\nname.csv")  # no root row
+        assert main(["batch", str(tmp_path), "--which", "fixed"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"{tmp_path}/bad\\nname.csv: cell 1 (the root) must be observed"]
+
     def test_out_file(self, tmp_path):
         simulate_fixture(tmp_path, "a.csv")
         dest = tmp_path / "results"

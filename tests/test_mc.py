@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,10 +144,22 @@ class TestRunReplica:
     def test_non_finite_statistic_is_degenerate(self, monkeypatch, table):
         tree, values = overflowing_leaves()
         monkeypatch.setattr(gw, "simulate_observation_tree", lambda *args: tree)
-        monkeypatch.setattr(bar, "simulate_bar_values", lambda *args: values)
+        # every row of the span's trait block is the overflowing tree's
+        monkeypatch.setattr(bar, "simulate_bar_block",
+                            lambda model, x1, x: np.tile(values.x, (len(x), 1)))
         cfg = table_config(table, generations=(3,))
         with np.errstate(all="ignore"):
             assert run_replica(cfg, "H0", 3, 0) == DEGENERATE
+
+    def test_an_overflowing_trait_raises(self):
+        # the root's trait, the fixed point c / (1 - d), is already inf
+        model = BarModel(1e307, 0.99, 1e307, 0.99, 1, 0.5)
+        cfg = table_config(3, bar_null=model, bar_alt=model, generations=(3,), replicas=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^trait values must be finite$"):
+                run_replica(cfg, "H0", 3, 0)
+            with pytest.raises(ValueError, match="^trait values must be finite$"):
+                run_table(cfg, workers=1)
 
     @pytest.mark.parametrize("config, hypothesis", [
         (table_config(1, gw_alt=None), "H1"),
@@ -232,8 +245,27 @@ def test_outcomes_do_not_depend_on_the_span_or_the_stack(monkeypatch, table):
         with monkeypatch.context() as mp:
             mp.setattr("barlineage.tree.STACK_CELLS", 1)  # every survivor fitted alone
             assert _hexed(mc._span(cfg, hypothesis, generation, 0, 74)) == whole
+        survivors = len(whole) - whole.count(EXTINCT)
+        assert survivors % 5  # five rows a block leave the last block short
+        for rows in (1, 5):  # the traits drawn one tree a block, and five
+            with monkeypatch.context() as mp:
+                mp.setattr(mc, "BLOCK_CELLS", rows << (generation + 1))
+                assert _hexed(mc._span(cfg, hypothesis, generation, 0, 74)) == whole
         kinds.update(o if o in (EXTINCT, DEGENERATE) else "p" for o in whole)
     assert kinds == {EXTINCT, DEGENERATE, "p"}
+
+
+def test_a_deep_span_peaks_within_twice_its_unblocked_memory():
+    # drawing one tree's traits at a time, this span peaked at about 255 KB
+    # (tracemalloc); a larger trait block or stack bound would show here first
+    cfg = table_config(3)
+    tracemalloc.start()
+    try:
+        mc._span(cfg, "H0", 11, 0, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 255_000
 
 
 class TestRunTable:
