@@ -12,6 +12,7 @@ degeneracy (the data were read but a statistic is undefined on them).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from . import bar, gw, mc
 from .errors import BarLineageError, DegenerateVariance, ParseError, StatError
 from .lineage_io import emit_lineage, ingest, read_text
 from .numerics import replica_stream
-from .tree import fitted
+from .tree import Forest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,12 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="type-0 reproduction law p(0,0),p(1,0),p(0,1),p(1,1)")
     p.add_argument("--law1", type=_flag(_probs), default=None,
                    help="type-1 reproduction law (defaults to --law0)")
-    p.add_argument("--a", type=float, default=0.5)
-    p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--d", type=float, default=0.5)
-    p.add_argument("--sigma2", type=float, default=mc.DEFAULT_SIGMA2)
-    p.add_argument("--rho", type=float, default=mc.DEFAULT_RHO)
+    null = mc.table_config(2).bar_null  # the presets' null model
+    for f in dataclasses.fields(bar.BarModel):
+        p.add_argument(f"--{f.name}", type=float, default=getattr(null, f.name))
     p.add_argument("--x1", type=float, default=None,
                    help="root trait (defaults to the odd fixed point c/(1-d))")
 
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     law1 = args.law1 if args.law1 is not None else args.law0
     gw_model = gw.GwModel(args.law0, law1)
-    bar_model = bar.BarModel(args.a, args.b, args.c, args.d, args.sigma2, args.rho)
+    bar_model = bar.BarModel(*(getattr(args, f.name) for f in dataclasses.fields(bar.BarModel)))
     x1 = args.x1 if args.x1 is not None else bar_model.fixed_point_odd
     rng = replica_stream(args.seed)
     tree = gw.simulate_observation_tree(gw_model, args.depth, rng)
@@ -127,8 +125,7 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
         "law0": ",".join(f"{v:g}" for v in args.law0.as_array()),
         "law1": ",".join(f"{v:g}" for v in law1.as_array()),
-        "a": args.a, "b": args.b, "c": args.c, "d": args.d,
-        "sigma2": args.sigma2, "rho": args.rho, "x1": f"{x1:.17g}",
+        **dataclasses.asdict(bar_model), "x1": f"{x1:.17g}",
     }
     Path(args.out).write_text(emit_lineage(tree, values, params), encoding="utf-8")
     return EXIT_OK
@@ -198,35 +195,51 @@ def _csv_field(text: str) -> str:
 
 
 def _cmd_batch(args) -> int:
-    """Read every file as it comes; fit the usable ones together, in stacks
-    (``tree.fitted``), and report each file in order after its fit."""
+    """Read each file once, in name order, and fit the usable ones together:
+    a stack of them is fitted as one Forest before the file whose observed
+    cells would take it past ``mc.BLOCK_CELLS`` (a larger file is fitted
+    alone).  Each file's row or stderr note follows its stack's fit, in
+    file order."""
     name = _TEST_ALIASES[args.which]
     directory = Path(args.directory)
     if not directory.is_dir():
         raise BarLineageError(f"{directory}: not a directory")
-
-    def lineages():  # ((path, why it is not fitted), tree, values)
-        for path in sorted(directory.glob("*.csv")):
-            try:
-                tree, values = ingest(path)
-            except (BarLineageError, OSError) as exc:
-                yield (path, str(exc)), None, None
-                continue
-            if tree.depth < args.min_generations:
-                yield (path, f"skipped, depth {tree.depth} < --min-generations "
-                             f"{args.min_generations}"), None, None
-            else:
-                yield (path, None), tree, values
-
     lines = ["file,test,p_value"]
-    for (path, note), row in fitted(lambda forest: mc.run_test(name, forest), lineages()):
-        if row is not None:  # a fitted file: a p-value, or nan and its StatError
-            note = str(row) if isinstance(row, StatError) else None
-            p_value = "nan" if note else f"{row.p_value:.17g}"
-            lines.append(f"{_csv_field(path.name)},{name},{p_value}")
-        if note:  # one line, whatever the name holds: what does not print is escaped
-            print("".join(c if c.isprintable() else repr(c)[1:-1] for c in f"{path}: {note}"),
-                  file=sys.stderr)
+    files, stack = [], []  # since the last fit: (path, why it is not fitted), (tree, values)
+
+    def fit_stack():
+        forest = Forest.of(*zip(*stack)) if stack else None
+        stack.clear()  # before the fit, which needs only the forest
+        rows = iter(mc.run_test(name, forest) if forest else ())
+        for path, note in files:
+            if note is None:  # a fitted file: a p-value, or nan and its StatError
+                row = next(rows)
+                note = str(row) if isinstance(row, StatError) else None
+                p_value = "nan" if note else f"{row.p_value:.17g}"
+                lines.append(f"{_csv_field(path.name)},{name},{p_value}")
+            if note:  # one line, whatever the name holds: what does not print is escaped
+                print("".join(c if c.isprintable() else repr(c)[1:-1] for c in f"{path}: {note}"),
+                      file=sys.stderr)
+        files.clear()
+
+    cells = 0
+    for path in sorted(directory.glob("*.csv")):
+        try:
+            tree, values = ingest(path)
+        except (BarLineageError, OSError) as exc:
+            files.append((path, str(exc)))
+            continue
+        if tree.depth < args.min_generations:
+            files.append((path, f"skipped, depth {tree.depth} < --min-generations "
+                                f"{args.min_generations}"))
+            continue
+        if stack and cells + tree.labels.size > mc.BLOCK_CELLS:
+            fit_stack()
+            cells = 0
+        cells += tree.labels.size
+        stack.append((tree, values))
+        files.append((path, None))
+    fit_stack()
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

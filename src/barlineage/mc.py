@@ -13,7 +13,8 @@ blocks whose full trees hold at most ``BLOCK_CELLS`` cells (a deeper tree
 is a block alone).  Each replica of a block is drawn from its own stream,
 in the layout ``numerics`` states; the BAR recursion then runs once over
 the block's survivors, and they are fitted as one Forest.  ``run_replica``
-is a span of one.
+is a span of one.  ``BLOCK_CELLS`` bounds every Forest fit: ``batch``
+stacks its files' observed cells under it too.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ P1_LAW = gw.ReproductionLaw(0.15, 0.08, 0.08, 0.69)
 DEFAULT_SIGMA2 = 1.0
 DEFAULT_RHO = 0.5
 
-# cells of the full trees of a span's block of replicas (a deeper tree is a block
-# alone): one pass of the recursion per generation over the block's survivors, and
-# one fit of them as a Forest, so this bounds the memory of both
+# cells of one Forest fit, at most (a larger tree is fitted alone): the full trees of
+# a span's block of replicas, which the BAR recursion passes over before the fit, or
+# the observed cells of the files that `batch` stacks; both read it at each call
 BLOCK_CELLS = 1 << 13
 
 
@@ -268,7 +269,9 @@ def _rows(table: McTable):
 def emit_table(table: McTable, fmt: str = "csv") -> str:
     """Render as CSV (one row per cell x threshold) or the JSON mirror.
     CSV cells are ``str()`` of each value, the shortest text that reads
-    back to the same float."""
+    back to the same float.  Thresholds that McConfig refuses (a repeated
+    one, say) raise ValueError, as parse_table would on reading them."""
+    check_field("thresholds", table.thresholds)
     if fmt == "json":
         return json.dumps([dict(zip(_COLUMNS, r)) for r in _rows(table)], indent=2) + "\n"
     if fmt != "csv":
@@ -286,17 +289,21 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
     whenever n_used <= 1000 (rounding error below half a count), which
     covers the published experiments.  Input that cannot be read raises
     ValueError naming the first row (or cell) it cannot read; so does a
-    table with no rows, and a row emit_table never writes: a generation
-    outside 1..MAX_DEPTH, a hypothesis other than H0 and H1, or a
-    threshold outside (0, 1).
+    table with no rows, JSON nested too deeply to read, a row emit_table
+    never writes (a generation outside 1..MAX_DEPTH, a hypothesis other
+    than H0 and H1, or a threshold outside (0, 1)), and a cell that lists
+    a threshold twice.
     """
     if fmt == "json":
-        rows = json.loads(text)
-        if not isinstance(rows, list):
-            raise ValueError("a JSON table is a list of row objects")
-        # a row is named by its JSON text; one that is not an object has no fields
-        records = [(json.dumps(r), [r[c] for c in _COLUMNS if c in r] if isinstance(r, dict)
-                    else []) for r in rows]
+        try:  # a level of nesting is a level of recursion, in the read and in a row's name
+            rows = json.loads(text)
+            if not isinstance(rows, list):
+                raise ValueError("a JSON table is a list of row objects")
+            # a row is named by its JSON text; one that is not an object has no fields
+            records = [(json.dumps(r), [r[c] for c in _COLUMNS if c in r] if isinstance(r, dict)
+                        else []) for r in rows]
+        except RecursionError:
+            raise ValueError("the JSON table is nested too deeply to read") from None
     elif fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != _CSV_HEADER:
@@ -315,7 +322,7 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
                 if fmt == "json" and not (type(v) is kind or kind is float and type(v) is int):
                     raise ValueError(f"{kind.__name__} column {c} holds {json.dumps(v)}")
             r = {c: kind(v) for c, kind, v in zip(_COLUMNS, _TYPES, values)}
-            # each row's own value, by its McConfig field's rule: a repeated threshold passes
+            # each row's own value, by its McConfig field's rule; a cell's thresholds below
             check_field("generations", (r["generation"],))
             check_field("thresholds", (r["threshold"],))
             if r["hypothesis"] not in _HYP_CODE:
@@ -331,7 +338,12 @@ def parse_table(text: str, fmt: str = "csv") -> McTable:
     thresholds = tuple(r["threshold"] for r in next(iter(grouped.values())))
     cells = {}
     for key, cell_rows in grouped.items():
-        if tuple(r["threshold"] for r in cell_rows) != thresholds:
+        listed = tuple(r["threshold"] for r in cell_rows)
+        try:
+            check_field("thresholds", listed)
+        except ValueError as exc:  # it names the field
+            raise ValueError(f"cell {key}: {exc}") from None
+        if listed != thresholds:
             raise ValueError(f"cell {key} does not list the thresholds {thresholds}")
         counts = {tuple(r[c] for c in _COUNTS) for r in cell_rows}
         if len(counts) > 1:

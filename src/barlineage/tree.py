@@ -13,7 +13,8 @@ once for the estimators: where each cell's mother sits, where the
 observed sister pairs sit (a daughter's type is her label's parity), and
 the counts a fit needs.  Each per-row sum is a weighted ``bincount`` over
 the row ids, so that a row's results do not depend on the rows beside
-it.  One tree is fitted as its one-row forest.
+it.  One tree is fitted as its one-row forest; how many trees share a
+forest is the caller's choice (``mc.BLOCK_CELLS``).
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .errors import DepthError, IndexOutOfRange, MissingRoot, OrphanCell
 
 # ~2e9 cells; the Monte Carlo experiments never need more than depth 11.
 MAX_DEPTH = 30
-# cells of the files `batch` fits together in one Forest, at most (a larger tree is
-# fitted alone): a larger stack spreads a fit's fixed cost over more rows, but its
-# fit peaks at 65-85 B per cell, 31-40 B of them its Forest's (see CHANGES.md)
-STACK_CELLS = 1 << 11
 
 
 def check_depth(depth: int) -> None:
@@ -217,29 +214,3 @@ class Forest(NamedTuple):
             [v if isinstance(v, np.ndarray) else v.observed(t) for t, v in zip(trees, values)])
         return cls(labels, x, group, mothers, pairs, row[pairs], counts)
 
-
-def fitted(fit, lineages):
-    """(tag, row) for each (tag, tree, values) of ``lineages``, in order: the
-    tree's row of ``fit`` run on a Forest, or None for a tree None.  Consecutive
-    trees share a Forest of at most STACK_CELLS cells (a larger tree is fitted
-    alone); ``values``, each tree's ValueTree, wait with their tree."""
-    tags, trees, traits, cells = [], [], [], 0
-
-    def fit_stack():
-        forest = Forest.of(trees, traits) if trees else None
-        del trees[:], traits[:]  # before the fit, which needs only the forest
-        out = iter(() if forest is None else fit(forest))
-        done = [(tag, next(out) if has_tree else None) for tag, has_tree in tags]
-        tags.clear()
-        return done
-
-    for tag, tree, values in lineages:
-        if tree is not None:
-            if trees and cells + tree.labels.size > STACK_CELLS:
-                yield from fit_stack()
-                cells = 0
-            cells += tree.labels.size
-            trees.append(tree)
-            traits.append(values)
-        tags.append((tag, tree is not None))
-    yield from fit_stack()

@@ -3,10 +3,10 @@
 A row's p-value (or StatError) must be the very bytes that its tree gives
 alone, whichever rows stand beside it and in whatever order: no sum,
 check or non-finite value of one row may reach another.  ``batch`` fits
-its files this way, in stacks of at most ``tree.STACK_CELLS`` cells, and a
-Monte Carlo span the survivors of each block of replicas.  A tree alone
-is fitted as its one-row forest, so each single-tree function gives its
-row of the stacked call, and no fit lets a numpy warning out.
+its files this way, in stacks of at most ``mc.BLOCK_CELLS`` observed cells,
+and a Monte Carlo span the survivors of each block of replicas.  A tree
+alone is fitted as its one-row forest, so each single-tree function gives
+its row of the stacked call, and no fit lets a numpy warning out.
 """
 
 import contextlib
@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from barlineage import (
     simulate_bar_values,
     simulate_observation_tree,
 )
-from barlineage import cli, report
+from barlineage import cli, mc, report
 from barlineage.bar import residual_noise_estimates, sufficient_stats
 from barlineage.errors import DegenerateVariance, StatError
 from barlineage.mc import P0_LAW, TESTS, run_test
@@ -146,6 +147,10 @@ def test_each_row_is_its_tree_alone(drawn):
         assert [as_outcome(r) for r in rows] == [alone(which, t, v) for t, v in drawn]
 
 
+# the observed cells that one `batch` fit holds, at most (a larger file is fitted alone)
+STACK_BOUND = "barlineage.mc.BLOCK_CELLS"
+
+
 def _batch(directory, which):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -170,8 +175,62 @@ def test_batch_rows_do_not_depend_on_the_stack(drawn):
             together = _batch(directory, which)
             assert together[0].splitlines() == expected
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr("barlineage.tree.STACK_CELLS", 1)  # one file per fit
+                mp.setattr(STACK_BOUND, 1)  # one file per fit
                 assert _batch(directory, which) == together
+
+
+def _counted_batch(directory, which):
+    """``_batch``'s output, and the rows of each Forest that it fits."""
+    fits, run_test = [], mc.run_test
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "run_test", lambda name, forest: fits.append(len(forest.counts))
+                   or run_test(name, forest))
+        return _batch(directory, which), fits
+
+
+@pytest.mark.parametrize("which", sorted(cli._TEST_ALIASES))
+def test_batch_fits_each_stack_once(tmp_path, which):
+    # eight lineages, named largest first, beside a file without its root
+    # and a shallow one: the fits must follow the bound, and not the output
+    drawn = sorted((simulated(d, s) for s, d in enumerate((9, 8, 9, 7, 9, 6, 8, 9))),
+                   key=lambda lineage: -lineage[0].labels.size)
+    for i, (tree, values) in enumerate(drawn):
+        (tmp_path / f"{2 * i:02d}.csv").write_text(emit_lineage(tree, values), encoding="utf-8")
+    (tmp_path / "03.csv").write_text("index,value\n2,0.0\n", encoding="utf-8")
+    (tmp_path / "09.csv").write_text(emit_lineage(*simulated(2, 1)), encoding="utf-8")
+    sizes = [tree.labels.size for tree, _ in drawn]
+    together, fits = _counted_batch(tmp_path, which)
+    assert sum(fits) == len(drawn)
+    assert "03.csv: cell 1 (the root) must be observed" in together[1]
+    assert "09.csv: skipped" in together[1]
+    # one fit per usable file, then two: the first half, and the smaller second half
+    for bound, expected in ((1, [1] * len(drawn)), (sum(sizes[:4]), [4, 4])):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(STACK_BOUND, bound)
+            assert _counted_batch(tmp_path, which) == (together, expected)
+
+
+def test_batch_memory_does_not_grow_with_the_files(tmp_path):
+    # k and 4k copies of one depth-9 lineage: holding each extra file's
+    # tree and traits would cost 16 B per observed cell, a stack does not
+    tree, values = simulated(9, 5)
+    text = emit_lineage(tree, values)
+    per_file = tree.labels.nbytes + values.observed(tree).nbytes
+    peaks = {}
+    for files in (40, 160):
+        directory = tmp_path / str(files)
+        directory.mkdir()
+        for i in range(files):
+            (directory / f"{i:03d}.csv").write_text(text, encoding="utf-8")
+        argv = ["batch", str(directory), "--which", "fixed", "--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0  # warm, before it is measured
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[files] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[160] - peaks[40] < (160 - 40) * per_file / 2
 
 
 def test_a_non_finite_fit_warns_of_nothing():

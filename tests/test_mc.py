@@ -425,9 +425,8 @@ def toy_table(thresholds=(0.05, 0.01)):
     )
 
 
-# the default pair, a threshold with more than 6 significant digits, and
-# a repeated threshold
-ROUND_TRIP_THRESHOLDS = [(0.05, 0.01), (0.0123456789, 0.01), (0.05, 0.05)]
+# the default pair, and a threshold with more than 6 significant digits
+ROUND_TRIP_THRESHOLDS = [(0.05, 0.01), (0.0123456789, 0.01)]
 JSON_ROW = {"generation": 7, "hypothesis": "H0", "threshold": 0.05, "rejection_pct": 1.0,
             "n_used": 10, "n_extinct": 0, "n_degenerate": 0}
 
@@ -451,6 +450,13 @@ class TestEmitParse:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             emit_table(toy_table(), fmt="xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_rejects_a_repeated_threshold(self, fmt):
+        # parse_table refuses it, so no text is written that cannot be read back
+        with pytest.raises(ValueError, match=r"^thresholds: must be one or more distinct "
+                                             r"values in \(0, 1\)$"):
+            emit_table(toy_table((0.05, 0.05)), fmt=fmt)
 
     def test_round_trip_csv(self):
         for thresholds in ROUND_TRIP_THRESHOLDS:
@@ -500,10 +506,12 @@ class TestEmitParse:
            rf"table row '.*': {kind} column {column} holds {re.escape(json.dumps(v))}$")
           for column, v, kind in [("n_used", 18.5, "int"), ("generation", True, "int"),
                                   ("n_extinct", "0", "int"), ("threshold", True, "float")]),
+        *((text, "^the JSON table is nested too deeply to read$")
+          for text in ("[" * 100000, '{"a": ' * 100000)),
     ], ids=["missing-column", "not-an-object", "null-cell", "object", "empty-list",
             "overflowing-pct", "inf-pct", "nan-pct", "negative-pct", "inf-string-pct",
             "overflowing-count", "fractional-count", "bool-generation", "string-count",
-            "bool-threshold"])
+            "bool-threshold", "nested-lists", "nested-objects"])
     def test_parse_rejects_unreadable_json(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_table(text, fmt="json")
@@ -564,6 +572,27 @@ class TestEmitParse:
         with pytest.raises(ValueError, match=r"cell \(7, 'H1'\) does not list the thresholds "
                                              r"\(0\.05, 0\.01\)"):
             parse_table(json.dumps(rows), fmt="json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_parse_rejects_a_repeated_threshold(self, fmt):
+        # each row alone is one emit_table writes; the cell lists 0.05 twice
+        row = (5, "H0", 0.05, 5.6, 18, 2, 0)
+        if fmt == "json":
+            text = json.dumps([dict(zip(mc._COLUMNS, row))] * 2)
+        else:
+            text = f"{mc._CSV_HEADER}\n" + f"{','.join(map(str, row))}\n" * 2
+        with pytest.raises(ValueError, match=r"^cell \(5, 'H0'\): thresholds: must be one "
+                                             r"or more distinct values in \(0, 1\)$"):
+            parse_table(text, fmt=fmt)
+
+    def test_no_nesting_depth_lets_a_recursion_error_out(self):
+        # around the recursion limit, the read or a row's name recurses deepest
+        for depth in range(1, sys.getrecursionlimit() + 10):
+            deep = "[" * depth + "]" * depth
+            for text in (f"[{deep}]", json.dumps([{**JSON_ROW, "n_used": None}])
+                         .replace("null", deep)):
+                with pytest.raises(ValueError):
+                    parse_table(text, fmt="json")
 
     def test_parse_rejects_csv_without_rows(self):
         with pytest.raises(ValueError, match="no rows"):
